@@ -473,9 +473,8 @@ double DecisionTree::predictRow(const double *Features) const {
   return N->LeafValue;
 }
 
-std::vector<double> DecisionTree::predictBatch(const Dataset &Data) const {
+void DecisionTree::predictBatchInto(const Dataset &Data, double *Out) const {
   assert(Fitted && "predicting with an unfitted tree");
-  std::vector<double> Out(Data.numRows());
   for (size_t R = 0; R < Data.numRows(); ++R) {
     const Node *N = &Nodes[0];
     while (!N->isLeaf())
@@ -483,5 +482,4 @@ std::vector<double> DecisionTree::predictBatch(const Dataset &Data) const {
                                                             : N->Right];
     Out[R] = N->LeafValue;
   }
-  return Out;
 }

@@ -111,7 +111,7 @@ public:
                          const DatasetPresort *Master = nullptr);
 
   double predict(const std::vector<double> &Features) const override;
-  std::vector<double> predictBatch(const Dataset &Data) const override;
+  void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "Tree"; }
 
   /// Predicts from a raw feature pointer (no bounds information; the

@@ -103,13 +103,11 @@ double KnnRegressor::predict(const std::vector<double> &Features) const {
   return predictStandardized(Query.data(), Distances);
 }
 
-std::vector<double> KnnRegressor::predictBatch(const Dataset &Data) const {
+void KnnRegressor::predictBatchInto(const Dataset &Data, double *Out) const {
   assert(Fitted && "predicting with an unfitted k-NN model");
   assert(Data.numFeatures() == FeatureMean.size() &&
          "feature width does not match the fitted model");
   size_t D = FeatureMean.size();
-  std::vector<double> Out;
-  Out.reserve(Data.numRows());
   // One standardized-query buffer and one distance scratch reused across
   // rows, filled from the columnar storage; each row runs exactly the
   // neighbourhood vote predict() runs, on identical inputs.
@@ -119,7 +117,6 @@ std::vector<double> KnnRegressor::predictBatch(const Dataset &Data) const {
   for (size_t R = 0; R < Data.numRows(); ++R) {
     for (size_t C = 0; C < D; ++C)
       Query[C] = (Data.column(C)[R] - FeatureMean[C]) / FeatureStd[C];
-    Out.push_back(predictStandardized(Query.data(), Distances));
+    Out[R] = predictStandardized(Query.data(), Distances);
   }
-  return Out;
 }

@@ -9,6 +9,8 @@
 #include "stats/Nnls.h"
 #include "stats/Solve.h"
 
+#include <algorithm>
+
 using namespace slope;
 using namespace slope::ml;
 
@@ -60,18 +62,19 @@ double LinearRegression::predict(const std::vector<double> &Features) const {
   return Sum;
 }
 
-std::vector<double> LinearRegression::predictBatch(const Dataset &Data) const {
+void LinearRegression::predictBatchInto(const Dataset &Data,
+                                        double *Out) const {
   assert(Fitted && "predicting with an unfitted model");
   assert(Data.numFeatures() == Coefficients.size() &&
          "feature width does not match the fitted model");
   // Accumulate per row in ascending feature order — the same order as
   // predict() — streaming each column once.
-  std::vector<double> Out(Data.numRows(), Intercept);
+  const size_t N = Data.numRows();
+  std::fill(Out, Out + N, Intercept);
   for (size_t C = 0; C < Coefficients.size(); ++C) {
     const double *Col = Data.column(C);
     double W = Coefficients[C];
-    for (size_t R = 0; R < Out.size(); ++R)
+    for (size_t R = 0; R < N; ++R)
       Out[R] += W * Col[R];
   }
-  return Out;
 }

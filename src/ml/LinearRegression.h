@@ -55,7 +55,7 @@ public:
 
   Expected<bool> fit(const Dataset &Training) override;
   double predict(const std::vector<double> &Features) const override;
-  std::vector<double> predictBatch(const Dataset &Data) const override;
+  void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "LR"; }
 
   /// \returns the fitted coefficients (one per feature). Valid after fit.

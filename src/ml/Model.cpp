@@ -12,13 +12,10 @@ using namespace slope::ml;
 // Out-of-line virtual anchor.
 Model::~Model() = default;
 
-std::vector<double> Model::predictBatch(const Dataset &Data) const {
-  std::vector<double> Out;
-  Out.reserve(Data.numRows());
+void Model::predictBatchInto(const Dataset &Data, double *Out) const {
   std::vector<double> RowBuf;
   for (size_t R = 0; R < Data.numRows(); ++R) {
     Data.gatherRow(R, RowBuf);
-    Out.push_back(predict(RowBuf));
+    Out[R] = predict(RowBuf);
   }
-  return Out;
 }

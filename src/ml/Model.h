@@ -39,12 +39,22 @@ public:
   /// \returns a short human-readable family name ("LR", "RF", "NN").
   virtual std::string name() const = 0;
 
-  /// Predicts every row of \p Data in one pass. The base implementation
-  /// gathers each row into a reused buffer and calls predict(); model
-  /// families override it with columnar kernels that skip the per-row
-  /// vector copy and virtual dispatch. Overrides must produce results
-  /// bit-identical to the row-by-row path.
-  virtual std::vector<double> predictBatch(const Dataset &Data) const;
+  /// Predicts every row of \p Data in one pass into the caller-owned span
+  /// \p Out (Data.numRows() values), so a serving loop can reuse one
+  /// buffer per batch instead of allocating a vector per call. The base
+  /// implementation gathers each row into a reused buffer and calls
+  /// predict(); model families override it with columnar kernels that
+  /// skip the per-row vector copy and virtual dispatch. Overrides must
+  /// produce results bit-identical to the row-by-row path.
+  virtual void predictBatchInto(const Dataset &Data, double *Out) const;
+
+  /// Predicts every row of \p Data in one pass (predictBatchInto into a
+  /// fresh vector).
+  std::vector<double> predictBatch(const Dataset &Data) const {
+    std::vector<double> Out(Data.numRows());
+    predictBatchInto(Data, Out.data());
+    return Out;
+  }
 
   /// Predicts every row of \p Data (alias of predictBatch, kept for
   /// existing call sites).

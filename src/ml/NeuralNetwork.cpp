@@ -437,14 +437,14 @@ double NeuralNetwork::predict(const std::vector<double> &Features) const {
   return Acts.back()[0] * TargetStd + TargetMean;
 }
 
-std::vector<double> NeuralNetwork::predictBatch(const Dataset &Data) const {
+void NeuralNetwork::predictBatchInto(const Dataset &Data, double *Out) const {
   assert(Fitted && "predicting with an unfitted network");
   assert(Data.numFeatures() == FeatureMean.size() &&
          "feature width does not match the fitted network");
   size_t N = Data.numRows();
   size_t D = FeatureMean.size();
   if (N == 0)
-    return {};
+    return;
   // Whole-set batched forward with the same bias-seeded GEMM kernels the
   // trainer uses; each row runs exactly the operations predict()
   // performs, in the same order.
@@ -470,8 +470,6 @@ std::vector<double> NeuralNetwork::predictBatch(const Dataset &Data) const {
       }
     Cur = std::move(Next);
   }
-  std::vector<double> Out(N);
   for (size_t R = 0; R < N; ++R)
     Out[R] = Cur.rowSpan(R)[0] * TargetStd + TargetMean;
-  return Out;
 }

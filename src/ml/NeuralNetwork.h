@@ -88,7 +88,7 @@ public:
 
   Expected<bool> fit(const Dataset &Training) override;
   double predict(const std::vector<double> &Features) const override;
-  std::vector<double> predictBatch(const Dataset &Data) const override;
+  void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "NN"; }
 
   /// The configured transfer function. QuantizedModel::build folds

@@ -130,9 +130,8 @@ double RandomForest::predict(const std::vector<double> &Features) const {
   return Sum / static_cast<double>(Trees.size());
 }
 
-std::vector<double> RandomForest::predictBatch(const Dataset &Data) const {
+void RandomForest::predictBatchInto(const Dataset &Data, double *Out) const {
   assert(Fitted && "predicting with an unfitted forest");
-  std::vector<double> Out(Data.numRows());
   std::vector<double> RowBuf;
   for (size_t R = 0; R < Data.numRows(); ++R) {
     Data.gatherRow(R, RowBuf);
@@ -142,5 +141,4 @@ std::vector<double> RandomForest::predictBatch(const Dataset &Data) const {
       Sum += Tree->predictRow(RowBuf.data());
     Out[R] = Sum / static_cast<double>(Trees.size());
   }
-  return Out;
 }

@@ -8,6 +8,7 @@
 
 #include "stats/Solve.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -135,19 +136,19 @@ double RlsLinearRegression::predict(const std::vector<double> &Features) const {
   return predictRow(Features.data());
 }
 
-std::vector<double>
-RlsLinearRegression::predictBatch(const Dataset &Data) const {
+void RlsLinearRegression::predictBatchInto(const Dataset &Data,
+                                           double *Out) const {
   assert(Fitted && "predicting with an unfitted model");
   assert(Data.numFeatures() == Width &&
          "feature width does not match the fitted model");
   // Accumulate per row in ascending feature order — the same order as
   // predictRow() — streaming each column once.
-  std::vector<double> Out(Data.numRows(), Intercept);
+  const size_t N = Data.numRows();
+  std::fill(Out, Out + N, Intercept);
   for (size_t C = 0; C < Width; ++C) {
     const double *Col = Data.column(C);
     double Wc = Coefficients[C];
-    for (size_t R = 0; R < Out.size(); ++R)
+    for (size_t R = 0; R < N; ++R)
       Out[R] += Wc * Col[R];
   }
-  return Out;
 }

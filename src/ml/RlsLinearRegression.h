@@ -97,7 +97,7 @@ public:
   /// Allocation-free single-row predict for serving hot loops.
   double predictRow(const double *Features) const;
 
-  std::vector<double> predictBatch(const Dataset &Data) const override;
+  void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "RLS-LR"; }
 
   /// \returns the current coefficients (one per feature).

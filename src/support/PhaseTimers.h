@@ -39,13 +39,14 @@ enum class Phase : unsigned {
                  ///< folds), timed on the calling thread so the counter
                  ///< reflects wall clock and credits the per-shard
                  ///< fan-out.
-  ServeIngest,   ///< ServingEngine replay ingest/staging slices (row
-                 ///< buffering; on the quantized path also the inline
-                 ///< batch inference). Disjoint from ServeFold; both are
+  ServeIngest,   ///< ServingEngine replay staging slices (routing rows
+                 ///< into their shard's batches, quantizing them on the
+                 ///< integer path). Disjoint from ServeFold; both are
                  ///< sub-slices of Serve.
-  ServeFold,     ///< ServingEngine epoch folds (partition, shard epochs,
-                 ///< publish, online retrain). Includes RlsUpdate/Refit
-                 ///< when retraining is enabled.
+  ServeFold,     ///< ServingEngine batch flushes and epoch folds
+                 ///< (parallel inference, accumulation, publish, online
+                 ///< retrain). Includes RlsUpdate/Refit when retraining
+                 ///< is enabled.
   RlsUpdate,     ///< RlsLinearRegression::update calls made by the
                  ///< ServingEngine online-retrain path (O(F^2) per
                  ///< observation, epoch-size-independent).

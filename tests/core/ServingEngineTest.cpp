@@ -254,7 +254,7 @@ TEST(ServingEngine, BatchCountIsDeterministicPerShardCount) {
     Engine.ingest(static_cast<uint32_t>(I % 4), 0, &One);
   Engine.endEpoch();
   EXPECT_EQ(Engine.stats().Batches, 3u); // ceil(20 / 8) in one shard.
-  EXPECT_EQ(Engine.stats().BatchMs.size(), 3u);
+  EXPECT_EQ(Engine.stats().BatchLatency.count(), 3u);
 }
 
 TEST(ServingEngine, PartialFinalEpochIsFolded) {
@@ -661,4 +661,191 @@ TEST(FleetTrace, DriftScalesLabelsButNeverFeatures) {
   // The drift itself must be visible in the labels (up to 40% here).
   EXPECT_GT(MaxLabelRel, 0.05);
   EXPECT_LT(MaxLabelRel, 0.45);
+}
+
+namespace {
+
+/// The labeled rows of \p Trace as a dataset.
+ml::Dataset traceRows(const FleetTrace &Trace) {
+  std::vector<std::string> Names;
+  for (size_t F = 0; F < Trace.width(); ++F)
+    Names.push_back("pmc" + std::to_string(F));
+  ml::Dataset Rows(Names);
+  for (size_t I = 0; I < Trace.size(); ++I)
+    Rows.addRow(Trace.features(I), Trace.label(I));
+  return Rows;
+}
+
+/// An FP LR fitted on \p Trace and its quantized twin, calibrated on the
+/// same rows.
+struct LrPair {
+  std::unique_ptr<ml::Model> Fp;
+  std::unique_ptr<ml::QuantizedModel> Quant;
+  std::vector<const ml::Model *> both() const { return {Fp.get(), Quant.get()}; }
+};
+
+LrPair lrPairOnTrace(const FleetTrace &Trace) {
+  const ml::Dataset Rows = traceRows(Trace);
+  LrPair P;
+  P.Fp = fittedLr(Rows);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Rows), Rows);
+  assert(Quant && "quantizing a fitted LR cannot fail");
+  P.Quant = Quant.takeValue();
+  return P;
+}
+
+/// Everything an engine publishes, for exact comparisons.
+struct Published {
+  std::vector<double> TenantEnergy;
+  std::vector<uint64_t> TenantCount;
+  std::vector<double> AppEnergy;
+  double Fleet = 0;
+  ServingStats Stats;
+};
+
+Published published(const ServingEngine &E) {
+  Published P;
+  for (uint32_t T = 0; T < E.numTenants(); ++T) {
+    P.TenantEnergy.push_back(E.tenantEnergy(T));
+    P.TenantCount.push_back(E.tenantObservations(T));
+  }
+  for (uint32_t A = 0; A < E.numApps(); ++A)
+    P.AppEnergy.push_back(E.appEnergy(A));
+  P.Fleet = E.fleetEnergy();
+  P.Stats = E.stats();
+  return P;
+}
+
+void expectSamePublished(const Published &A, const Published &B) {
+  ASSERT_EQ(A.TenantEnergy, B.TenantEnergy);
+  ASSERT_EQ(A.TenantCount, B.TenantCount);
+  ASSERT_EQ(A.AppEnergy, B.AppEnergy);
+  ASSERT_EQ(A.Fleet, B.Fleet);
+  EXPECT_EQ(A.Stats.Observations, B.Stats.Observations);
+  EXPECT_EQ(A.Stats.Epochs, B.Stats.Epochs);
+  EXPECT_EQ(A.Stats.Batches, B.Stats.Batches);
+  EXPECT_EQ(A.Stats.ShardBatches, B.Stats.ShardBatches);
+  EXPECT_EQ(A.Stats.PredictionAbsErrJ, B.Stats.PredictionAbsErrJ);
+  EXPECT_EQ(A.Stats.LabelAbsJ, B.Stats.LabelAbsJ);
+}
+
+} // namespace
+
+TEST(ServingEngine, PerRowIngestAndReplayPublishIdenticalTables) {
+  // replay() must stage, flush and fold exactly where a per-row ingest()
+  // loop would. Small batches cross the per-shard staging bound many
+  // times inside each epoch, on both the FP and the quantized path.
+  Machine M(Platform::intelSkylakeServer(), 41);
+  auto Trace = makeDriftingTrace(M, 3000, /*DriftMax=*/0.2);
+  ASSERT_TRUE(bool(Trace));
+  const LrPair Models = lrPairOnTrace(*Trace);
+
+  ServingConfig Config;
+  Config.NumShards = 3;
+  Config.EpochSize = 1100;
+  Config.BatchSize = 4;
+  for (const ml::Model *Model : Models.both()) {
+    const bool IsFp = Model == Models.Fp.get();
+    for (bool Score : {false, true}) {
+      if (Score && !IsFp)
+        continue; // Label scoring is an FP-path feature.
+      Config.ScoreLabels = Score;
+      ServingEngine Replayed(*Model, Trace->width(), 41, Trace->numApps(),
+                             Config);
+      Replayed.replay(*Trace);
+      ServingEngine Ingested(*Model, Trace->width(), 41, Trace->numApps(),
+                             Config);
+      for (size_t I = 0; I < Trace->size(); ++I) {
+        if (IsFp)
+          Ingested.ingest(Trace->tenant(I), Trace->app(I),
+                          Trace->features(I), Trace->label(I));
+        else
+          Ingested.ingest(Trace->tenant(I), Trace->app(I),
+                          Trace->features(I));
+      }
+      Ingested.endEpoch();
+      SCOPED_TRACE(Model->name() + (Score ? " scored" : ""));
+      EXPECT_EQ(Replayed.stats().Epochs, 3u); // ceil(3000 / 1100).
+      expectSamePublished(published(Replayed), published(Ingested));
+    }
+  }
+}
+
+TEST(ServingEngine, PerShardBatchesAreCeilOfShardRows) {
+  // Zipf-skewed traffic: the hot shard stages several times the rows of
+  // the cold ones and crosses the staging bound mid-epoch, which must run
+  // full batches only — so every shard issues exactly
+  // ceil(rows / BatchSize) batches per epoch, on both paths.
+  ThreadCountGuard Guard;
+  ThreadPool::setGlobalThreadCount(4);
+  Machine M(Platform::intelSkylakeServer(), 43);
+  auto Trace = makeDriftingTrace(M, 4000, /*DriftMax=*/0.0);
+  ASSERT_TRUE(bool(Trace));
+  const LrPair Models = lrPairOnTrace(*Trace);
+
+  ServingConfig Config;
+  Config.NumShards = 4;
+  Config.EpochSize = Trace->size(); // One epoch.
+  Config.BatchSize = 5;
+  std::vector<size_t> ShardRows(Config.NumShards, 0);
+  for (size_t I = 0; I < Trace->size(); ++I)
+    ++ShardRows[Trace->tenant(I) % Config.NumShards];
+  ASSERT_GT(ShardRows[0], 2 * ShardRows[3]); // The skew is real.
+
+  for (const ml::Model *Model : Models.both()) {
+    ServingEngine Engine(*Model, Trace->width(), 41, Trace->numApps(),
+                         Config);
+    Engine.replay(*Trace);
+    const ServingStats &S = Engine.stats();
+    ASSERT_EQ(S.ShardBatches.size(), Config.NumShards);
+    uint64_t Total = 0;
+    for (size_t SI = 0; SI < Config.NumShards; ++SI) {
+      const uint64_t Want =
+          (ShardRows[SI] + Config.BatchSize - 1) / Config.BatchSize;
+      EXPECT_EQ(S.ShardBatches[SI], Want) << Model->name() << " shard " << SI;
+      Total += Want;
+    }
+    EXPECT_EQ(S.Batches, Total) << Model->name();
+    EXPECT_EQ(S.BatchLatency.count(), Total) << Model->name();
+  }
+}
+
+TEST(ServingEngine, ScoredLabeledReplayBitIdenticalAtAnyShardAndThreadCount) {
+  // A frozen model with ScoreLabels on: the staleness counters come from
+  // the trace-order labeled log, the tables from per-shard staging; both
+  // must be pure functions of the trace.
+  ThreadCountGuard Guard;
+  Machine M(Platform::intelSkylakeServer(), 45);
+  auto Trace = makeDriftingTrace(M, 3000, /*DriftMax=*/0.3);
+  ASSERT_TRUE(bool(Trace));
+  std::unique_ptr<ml::Model> Fp = fittedLr(traceRows(*Trace));
+
+  auto Replay = [&](unsigned Shards, unsigned Threads) {
+    ThreadPool::setGlobalThreadCount(Threads);
+    ServingConfig Config;
+    Config.NumShards = Shards;
+    Config.EpochSize = 700;
+    Config.BatchSize = 16;
+    Config.ScoreLabels = true;
+    ServingEngine Engine(*Fp, Trace->width(), 41, Trace->numApps(), Config);
+    Engine.replay(*Trace);
+    return published(Engine);
+  };
+  const Published Reference = Replay(1, 1);
+  EXPECT_GT(Reference.Stats.LabelAbsJ, 0.0);
+  EXPECT_GT(Reference.Stats.PredictionAbsErrJ, 0.0);
+  for (unsigned Shards : {1u, 8u}) {
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(Shards) + " shards, " +
+                   std::to_string(Threads) + " threads");
+      const Published Got = Replay(Shards, Threads);
+      ASSERT_EQ(Got.TenantEnergy, Reference.TenantEnergy);
+      ASSERT_EQ(Got.AppEnergy, Reference.AppEnergy);
+      ASSERT_EQ(Got.Fleet, Reference.Fleet);
+      ASSERT_EQ(Got.Stats.PredictionAbsErrJ,
+                Reference.Stats.PredictionAbsErrJ);
+      ASSERT_EQ(Got.Stats.LabelAbsJ, Reference.Stats.LabelAbsJ);
+      ASSERT_EQ(Got.Stats.Observations, Reference.Stats.Observations);
+    }
+  }
 }

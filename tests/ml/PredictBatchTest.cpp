@@ -4,21 +4,26 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// predictBatch overrides must be bit-identical to the row-by-row predict
-// path for every model family (the paper tables are rendered from batch
-// predictions, so any divergence would change published numbers).
+// predictBatchInto overrides must be bit-identical to the row-by-row
+// predict path for every model family (the paper tables are rendered from
+// batch predictions, so any divergence would change published numbers),
+// and must write exactly one prediction per row into the caller's span.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ml/KnnRegressor.h"
 #include "ml/LinearRegression.h"
 #include "ml/NeuralNetwork.h"
+#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
+#include "ml/RlsLinearRegression.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace slope;
 using namespace slope::ml;
@@ -111,7 +116,7 @@ TEST(PredictBatch, KnnRegressorUnweightedMatchesRowByRow) {
   expectBatchMatchesRowByRow(M, Test);
 }
 
-/// A model with no predictBatch override: predicts the sum of the row's
+/// A model with no predictBatchInto override: predicts the sum of the row's
 /// features, so the base-class row-gather path is what's under test.
 class RowSumModel : public Model {
 public:
@@ -126,7 +131,7 @@ public:
 };
 
 TEST(PredictBatch, BaseClassFallbackMatchesRowByRow) {
-  // Every shipped family overrides predictBatch now, so a local dummy
+  // Every shipped family overrides predictBatchInto, so a local dummy
   // model exercises the Model default implementation (gather into a
   // reused row buffer).
   Dataset Test = syntheticData(10, 30, 4);
@@ -140,6 +145,51 @@ TEST(PredictBatch, EmptyTestSetYieldsEmptyPredictions) {
   ASSERT_TRUE(bool(M.fit(Train)));
   Dataset Empty({"f0", "f1", "f2"});
   EXPECT_TRUE(M.predictBatch(Empty).empty());
+}
+
+/// Requires predictBatchInto to fill exactly Data.numRows() slots of a
+/// NaN-poisoned span, bit-identical to predictBatch, and to leave the slot
+/// past the end untouched.
+void expectIntoMatchesBatch(const Model &M, const Dataset &Data) {
+  const size_t N = Data.numRows();
+  const double Poison = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Into(N + 1, Poison);
+  M.predictBatchInto(Data, Into.data());
+  const std::vector<double> Batch = M.predictBatch(Data);
+  ASSERT_EQ(Batch.size(), N);
+  for (size_t R = 0; R < N; ++R)
+    EXPECT_EQ(std::memcmp(&Into[R], &Batch[R], sizeof(double)), 0)
+        << M.name() << " N=" << N << " row " << R << ": " << Into[R]
+        << " vs " << Batch[R];
+  EXPECT_TRUE(std::isnan(Into[N])) << M.name() << " wrote past N=" << N;
+}
+
+TEST(PredictBatch, IntoMatchesBatchForEveryFamilyAndSize) {
+  Dataset Train = syntheticData(21, 150, 4);
+  std::vector<std::unique_ptr<Model>> Models;
+  Models.push_back(std::make_unique<LinearRegression>());
+  Models.push_back(std::make_unique<DecisionTree>());
+  RandomForestOptions Forest;
+  Forest.NumTrees = 12;
+  Models.push_back(std::make_unique<RandomForest>(Forest));
+  NeuralNetworkOptions Net;
+  Net.Epochs = 20;
+  Models.push_back(std::make_unique<NeuralNetwork>(Net));
+  Models.push_back(std::make_unique<KnnRegressor>());
+  Models.push_back(std::make_unique<RlsLinearRegression>());
+  for (const auto &M : Models)
+    ASSERT_TRUE(bool(M->fit(Train))) << M->name();
+  auto QuantizedLr = std::make_unique<LinearRegression>();
+  ASSERT_TRUE(bool(QuantizedLr->fit(Train)));
+  auto Quantized = QuantizedModel::build(std::move(QuantizedLr), Train);
+  ASSERT_TRUE(bool(Quantized));
+  Models.push_back(Quantized.takeValue());
+
+  for (size_t N : {0u, 1u, 7u, 257u}) {
+    const Dataset Test = syntheticData(22 + N, N, 4);
+    for (const auto &M : Models)
+      expectIntoMatchesBatch(*M, Test);
+  }
 }
 
 } // namespace
