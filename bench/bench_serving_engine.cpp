@@ -233,6 +233,8 @@ int main(int Argc, char **Argv) {
       {"batch_ms_p50", Engine.stats().BatchLatency.quantileMs(0.50)},
       {"batch_ms_p99", Engine.stats().BatchLatency.quantileMs(0.99)},
       {"retrains", static_cast<double>(Engine.stats().Retrains)},
+      {"cells_published",
+       static_cast<double>(Engine.stats().CellsPublished)},
       {"staleness_error", Engine.stats().stalenessError()},
   };
   // The attribution tables as numbers, so the quantized CI gate can check

@@ -15,13 +15,14 @@
 //      dedicated-run counts.
 //
 //   2. Online model maintenance: a recursive-least-squares model absorbs
-//      a labeled fleet stream one observation at a time (O(F^2)
-//      Sherman-Morrison updates, no history) while the reference path
-//      re-solves the full batch fit over the accumulated stream at every
-//      epoch (O(N*F^2)). Both paths solve the same ridge system, so
-//      their coefficients agree to solver precision; the --bench-json
-//      rls_update_ms / refit_ms counters quantify the asymptotic gap the
-//      serving engine's online-retrain CI gate is built on.
+//      a labeled fleet stream in one batched update() per epoch (O(F^2)
+//      Sherman-Morrison updates per observation, no history) while the
+//      reference path re-solves the full batch fit over the accumulated
+//      stream at every epoch (O(N*F^2)). Both paths solve the same ridge
+//      system, so their coefficients agree to solver precision; the
+//      --bench-json rls_update_ms / refit_ms counters quantify the
+//      asymptotic gap the serving engine's online-retrain CI gate is
+//      built on.
 //
 // Tables on stdout are deterministic (timing lives only in the JSON).
 //
@@ -148,16 +149,20 @@ void streamingFit(size_t Observations, size_t EpochSize) {
     return;
   }
 
-  // Stream the remainder in epochs: the RLS side folds each observation
-  // in as it arrives; the reference side re-solves over everything seen
-  // so far at each epoch boundary.
+  // Stream the remainder in epochs: the RLS side folds each epoch in
+  // with one batched update() over its contiguous rows and labels — the
+  // call the serving engine's retrain fold makes; the reference side
+  // re-solves over everything seen so far at each epoch boundary.
+  std::vector<double> Labels(Trace->size());
+  for (size_t I = 0; I < Trace->size(); ++I)
+    Labels[I] = Trace->label(I);
   size_t Epochs = 0;
   for (size_t Begin = SeedRows; Begin < Trace->size(); Begin += EpochSize) {
     const size_t End = std::min(Trace->size(), Begin + EpochSize);
     {
       ScopedPhase Timer(Phase::RlsUpdate);
-      for (size_t I = Begin; I < End; ++I)
-        Streaming.update(Trace->features(I), Trace->label(I));
+      Streaming.update(Trace->features(Begin), Labels.data() + Begin,
+                       End - Begin);
     }
     {
       ScopedPhase Timer(Phase::Refit);

@@ -49,6 +49,7 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
                        ? (NumTenants - SI + Shards.size() - 1) / Shards.size()
                        : 0;
     Shards[SI].Cells.resize(Owned * NumApps);
+    Shards[SI].Marked.resize(Owned * NumApps);
     openBatch(Shards[SI]);
   }
   Folded.resize(static_cast<size_t>(NumTenants) * NumApps);
@@ -173,9 +174,14 @@ void ServingEngine::flushStaged(bool Partial) {
     for (size_t BI = 0; BI < Ran; ++BI) {
       Batch &B = S.Staged[BI];
       for (size_t R = 0; R < B.N; ++R) {
-        Cell &C = S.Cells[B.Cells[R]];
+        const uint32_t Local = B.Cells[R];
+        Cell &C = S.Cells[Local];
         C.EnergyJ += B.Pred[R];
         C.Count += 1;
+        if (!S.Marked[Local]) { // First touch since the last fold.
+          S.Marked[Local] = 1;
+          S.Touched.push_back(Local);
+        }
       }
       Stats.BatchLatency.record(B.Ms);
       B.N = 0;
@@ -222,10 +228,10 @@ void ServingEngine::retrainOnLog() {
   // shard/thread-invariant as the folded table.
   if (RetrainAlgo == ml::FitAlgorithm::Rls) {
     // O(F^2) per observation, no history: cost per fold is proportional
-    // to the epoch, not to the stream consumed so far.
+    // to the epoch, not to the stream consumed so far. One batched call
+    // keeps the model state in locals across the whole epoch.
     ScopedPhase Timer(Phase::RlsUpdate);
-    for (size_t I = 0; I < NumLabeled; ++I)
-      Online->update(LogFeatures.data() + I * Width, LogLabels[I]);
+    Online->update(LogFeatures.data(), LogLabels.data(), NumLabeled);
   } else {
     // The reference: append the epoch to the history and re-solve the
     // batch fit from scratch — O(N*F^2) with N the entire stream so far.
@@ -248,15 +254,24 @@ void ServingEngine::foldEpoch() {
   // the post-update coefficients, this epoch's saw the pre-update ones.
   retrainOnLog();
 
-  // The fold: publish every shard's running accumulators into the
-  // query-visible table, in shard order. Cells are owned by exactly one
-  // shard, so this is a snapshot copy, never a cross-shard sum.
-  const size_t NumShards = Shards.size();
-  for (size_t SI = 0; SI < NumShards; ++SI) {
-    const Shard &S = Shards[SI];
-    for (size_t Local = 0; Local < S.Cells.size() / NumApps; ++Local)
-      std::copy_n(S.Cells.data() + Local * NumApps, NumApps,
-                  Folded.data() + (Local * NumShards + SI) * NumApps);
+  // The fold: publish the cells this epoch touched into the
+  // query-visible table, in shard order. A cell no row reached since the
+  // last fold already holds its published value, so the copy is
+  // proportional to the epoch, not to the fleet. Cells are owned by
+  // exactly one shard, so this is a snapshot copy, never a cross-shard
+  // sum.
+  const uint32_t NumShards = static_cast<uint32_t>(Shards.size());
+  for (uint32_t SI = 0; SI < NumShards; ++SI) {
+    Shard &S = Shards[SI];
+    for (uint32_t Local : S.Touched) {
+      const uint32_t LocalTenant = Local / NumApps;
+      const uint32_t App = Local - LocalTenant * NumApps;
+      Folded[(static_cast<size_t>(LocalTenant) * NumShards + SI) * NumApps +
+             App] = S.Cells[Local];
+      S.Marked[Local] = 0;
+    }
+    Stats.CellsPublished += S.Touched.size();
+    S.Touched.clear();
   }
   Stats.Observations += PendingCount;
   Stats.Epochs += 1;

@@ -15,8 +15,11 @@
 /// in-kernel energy models: tenant state is sharded (tenant % NumShards,
 /// striped so Zipf-hot low tenant ids spread across shards), and each
 /// shard owns plain accumulation slots that only it writes — no locks or
-/// atomics on the hot path. An explicit epoch boundary folds every
-/// shard's running totals into the query-visible table in shard order.
+/// atomics on the hot path. An explicit epoch boundary publishes the
+/// running totals of every cell the epoch touched into the query-visible
+/// table in shard order, so a fold costs what its epoch carried, not
+/// what the fleet holds. Until then queries see the previous fold's
+/// snapshot, including across bound-triggered mid-epoch flushes.
 ///
 /// One staging design serves both the FP and the quantized path. Ingest
 /// routes each observation into its owning shard's open BatchSize batch
@@ -88,6 +91,10 @@ struct ServingStats {
   uint64_t Epochs = 0;       ///< Folds performed.
   uint64_t Batches = 0;      ///< Inference batches run.
   uint64_t Retrains = 0;     ///< Online-retrain passes performed at folds.
+  /// Cells copied into the query-visible table, summed over folds. A
+  /// fold publishes only the (tenant, app) cells its epoch touched, so
+  /// this tracks traffic, not tenants x apps.
+  uint64_t CellsPublished = 0;
   /// Batches run per shard (deterministic for a fixed shard count; the
   /// Zipf skew of the traffic shows up here).
   std::vector<uint64_t> ShardBatches;
@@ -155,8 +162,8 @@ public:
   void ingest(uint32_t Tenant, uint32_t App, const double *Features,
               double Label);
 
-  /// Runs every staged batch and folds every shard's accumulators into
-  /// the query-visible table (shard order).
+  /// Runs every staged batch and publishes every cell touched since the
+  /// last fold into the query-visible table (shard order).
   void endEpoch();
 
   /// Ingests the whole trace and ends the epoch, exactly as a per-row
@@ -217,6 +224,11 @@ private:
     /// Running totals, local-tenant-major (localTenant * NumApps + app);
     /// local tenant L is global tenant L * NumShards + shardIndex.
     std::vector<Cell> Cells;
+    /// Cells accumulated into since the last fold: Marked[Local] is set
+    /// on a cell's first touch, which appends it to Touched. The fold
+    /// publishes exactly the Touched cells, then clears both.
+    std::vector<uint8_t> Marked;
+    std::vector<uint32_t> Touched;
     /// Staged[0..Full) are full batches; Staged[Full] is the open one
     /// (always present below the flush bound). Batches are reused across
     /// flushes.
@@ -248,12 +260,13 @@ private:
 
   /// Runs every staged batch of every shard — full batches only unless
   /// \p Partial — in one parallelFor over (shard, batch) jobs, then
-  /// accumulates the predictions shard by shard in trace order.
+  /// accumulates the predictions shard by shard in trace order, marking
+  /// each cell's first touch since the last fold.
   void flushStaged(bool Partial);
 
   /// Runs every staged batch, scores and retrains on the epoch's labeled
-  /// log (see retrainOnLog), then publishes every shard's accumulators in
-  /// shard order.
+  /// log (see retrainOnLog), then publishes the touched cells of every
+  /// shard in shard order and clears their marks.
   void foldEpoch();
 
   /// Online-retrain and label-scoring pass of foldEpoch(): a serial

@@ -9,8 +9,10 @@
 #include "stats/Solve.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 using namespace slope;
 using namespace slope::ml;
@@ -27,6 +29,90 @@ FitAlgorithm initialFitAlgorithm() {
 }
 
 FitAlgorithm GlobalFitAlgorithm = initialFitAlgorithm();
+
+/// Sherman-Morrison on P = G^-1 for G' = G + x x^T, row by row over \p N
+/// rows of \p Rows (row width \p StateWidth minus the intercept slot):
+///   Px    = P x
+///   denom = 1 + x^T P x            (> 0: P is positive definite)
+///   w    += Px * (y - x^T w) / denom
+///   P    -= Px Px^T / denom        (stays symmetric by construction)
+/// Every dot is a serial chain ascending from index 0 and every update
+/// is element-wise, so the bits are those of the scalar stats::dot /
+/// stats::axpy reference whatever the batch size.
+///
+/// Fixed > 0 fixes the state width at compile time: W and P are copied
+/// into locals the compiler can keep in registers and fully unroll over,
+/// and copied back once per batch. Fixed == 0 is the runtime-width
+/// fallback, which updates \p WState / \p PState in place and takes P*x
+/// and the augmented row from \p Scratch (2 * StateWidth).
+template <size_t Fixed>
+void shermanMorrison(size_t StateWidth, bool Intercept, const double *Rows,
+                     const double *Targets, size_t N, double *WState,
+                     double *PState, double *Scratch) {
+  const size_t SW = Fixed ? Fixed : StateWidth;
+  const size_t RowWidth = SW - Intercept;
+  std::array<double, Fixed + Fixed * Fixed + 2 * Fixed> Local{};
+  double *W = WState, *P = PState, *Px = Scratch;
+  if constexpr (Fixed > 0) {
+    W = Local.data();
+    P = W + SW;
+    Px = P + SW * SW;
+    std::copy_n(WState, SW, W);
+    std::copy_n(PState, SW * SW, P);
+  }
+  double *XAug = Px + SW;
+  XAug[0] = 1.0;
+
+  for (size_t I = 0; I < N; ++I) {
+    const double *X = Rows + I * RowWidth;
+    if (Intercept) {
+      std::copy_n(X, SW - 1, XAug + 1);
+      X = XAug;
+    }
+    for (size_t R = 0; R < SW; ++R) {
+      double Sum = 0;
+      for (size_t C = 0; C < SW; ++C)
+        Sum += P[R * SW + C] * X[C];
+      Px[R] = Sum;
+    }
+    double XPx = 0, XW = 0;
+    for (size_t C = 0; C < SW; ++C)
+      XPx += X[C] * Px[C];
+    for (size_t C = 0; C < SW; ++C)
+      XW += X[C] * W[C];
+    const double Denom = 1.0 + XPx;
+    const double Err = Targets[I] - XW;
+
+    const double Step = Err / Denom;
+    for (size_t C = 0; C < SW; ++C)
+      W[C] += Step * Px[C];
+    for (size_t R = 0; R < SW; ++R) {
+      const double Scale = -Px[R] / Denom;
+      for (size_t C = 0; C < SW; ++C)
+        P[R * SW + C] += Scale * Px[C];
+    }
+  }
+
+  if constexpr (Fixed > 0) {
+    std::copy_n(W, SW, WState);
+    std::copy_n(P, SW * SW, PState);
+  }
+}
+
+using ShermanMorrisonKernel = void (*)(size_t, bool, const double *,
+                                       const double *, size_t, double *,
+                                       double *, double *);
+
+template <size_t... Widths>
+constexpr std::array<ShermanMorrisonKernel, sizeof...(Widths)>
+kernelTable(std::index_sequence<Widths...>) {
+  return {&shermanMorrison<Widths>...};
+}
+
+/// Compile-time-width kernels indexed by state width, for the widths the
+/// paper's PMC subsets produce (up to 8 counters, with or without the
+/// intercept slot); entry 0 is the runtime-width fallback.
+constexpr auto FixedWidthKernels = kernelTable(std::make_index_sequence<10>());
 } // namespace
 
 void ml::setDefaultFitAlgorithm(FitAlgorithm A) { GlobalFitAlgorithm = A; }
@@ -80,38 +166,20 @@ Expected<bool> RlsLinearRegression::fit(const Dataset &Training) {
     Intercept = W.front();
     Coefficients.assign(W.begin() + 1, W.end());
   }
-  Gain.assign(SW, 0.0);
-  XAug.assign(SW, 0.0);
+  Scratch.assign(2 * SW, 0.0);
   Seen = Training.numRows();
   Fitted = true;
   return true;
 }
 
-void RlsLinearRegression::update(const double *Features, double Target) {
+void RlsLinearRegression::update(const double *Rows, const double *Targets,
+                                 size_t N) {
   assert(Fitted && "updating an unfitted model; call fit() first");
   const size_t SW = stateWidth();
-
-  const double *X = Features;
-  if (!Options.ZeroIntercept) {
-    XAug[0] = 1.0;
-    for (size_t C = 0; C < Width; ++C)
-      XAug[C + 1] = Features[C];
-    X = XAug.data();
-  }
-
-  // Sherman-Morrison on P = G^-1 for G' = G + x x^T:
-  //   Px    = P x
-  //   denom = 1 + x^T P x            (> 0: P is positive definite)
-  //   w    += Px * (y - x^T w) / denom
-  //   P    -= Px Px^T / denom        (stays symmetric by construction)
-  for (size_t R = 0; R < SW; ++R)
-    Gain[R] = stats::dot(&P[R * SW], X, SW);
-  const double Denom = 1.0 + stats::dot(X, Gain.data(), SW);
-  const double Err = Target - stats::dot(X, W.data(), SW);
-
-  stats::axpy(Err / Denom, Gain.data(), W.data(), SW);
-  for (size_t R = 0; R < SW; ++R)
-    stats::axpy(-Gain[R] / Denom, Gain.data(), &P[R * SW], SW);
+  const auto Kernel = SW < FixedWidthKernels.size() ? FixedWidthKernels[SW]
+                                                    : &shermanMorrison<0>;
+  Kernel(SW, !Options.ZeroIntercept, Rows, Targets, N, W.data(), P.data(),
+         Scratch.data());
 
   if (Options.ZeroIntercept) {
     Coefficients = W;
@@ -119,7 +187,7 @@ void RlsLinearRegression::update(const double *Features, double Target) {
     Intercept = W.front();
     Coefficients.assign(W.begin() + 1, W.end());
   }
-  ++Seen;
+  Seen += N;
 }
 
 double RlsLinearRegression::predictRow(const double *Features) const {

@@ -8,10 +8,10 @@
 /// Recursive least squares (RLS): an online-updating linear model for the
 /// streaming telemetry path. A batch fit() seeds the coefficients and the
 /// inverse Gram matrix P = (X^T X + Lambda I)^-1; each subsequent
-/// update(x, y) folds one observation in with a Sherman-Morrison rank-1
-/// update in O(F^2) — no history is retained and no dataset is rescanned,
-/// so continuous retraining is epoch-size-independent, the property the
-/// serving engine's online-retrain mode is built on.
+/// update() folds a batch of observations in, one Sherman-Morrison rank-1
+/// update in O(F^2) per row — no history is retained and no dataset is
+/// rescanned, so continuous retraining is epoch-size-independent, the
+/// property the serving engine's online-retrain mode is built on.
 ///
 /// The O(N*F^2) full refit over the accumulated stream stays the
 /// selectable reference (FitAlgorithm, `--fit-algo rls|refit` /
@@ -80,11 +80,27 @@ public:
   /// gated against.
   Expected<bool> fit(const Dataset &Training) override;
 
-  /// Folds one observation (\p Features: featureWidth() values, target
-  /// \p Target) into the model: Sherman-Morrison rank-1 update of the
-  /// inverse Gram plus the gain-weighted coefficient correction. O(F^2)
-  /// time, O(F^2) state, no history. Must follow a successful fit().
-  void update(const double *Features, double Target);
+  /// Folds \p N observations into the model, in order: \p Rows holds N
+  /// row-major rows of featureWidth() values, \p Targets their N
+  /// targets. Each row is one Sherman-Morrison rank-1 update of the
+  /// inverse Gram plus the gain-weighted coefficient correction: O(F^2)
+  /// time per row, O(F^2) state, no history. Must follow a successful
+  /// fit().
+  ///
+  /// One kernel serves every batch size. The state stays in locals for
+  /// the whole batch and coefficients()/intercept() are republished once
+  /// at the end; a batch leaves exactly the bits N single-row calls
+  /// leave. Every element follows the serial scalar order: dots ascend
+  /// from index 0, denom = 1 + x.Px, W += (err/denom) Px and
+  /// P_r += (-Px_r/denom) Px. The kernel never routes through the
+  /// stats:: SIMD dispatch, so an explicit `--simd avx2` K-split opt-in
+  /// does not change its bits.
+  void update(const double *Rows, const double *Targets, size_t N);
+
+  /// Folds one observation: update(Features, &Target, 1).
+  void update(const double *Features, double Target) {
+    update(Features, &Target, 1);
+  }
 
   /// Convenience overload; asserts the width matches.
   void update(const std::vector<double> &Features, double Target) {
@@ -131,8 +147,9 @@ private:
   /// Inverse Gram (X^T X + Lambda I)^-1, stateWidth() x stateWidth()
   /// row-major, kept symmetric by construction.
   std::vector<double> P;
-  std::vector<double> Gain; ///< Reused P*x scratch (stateWidth()).
-  std::vector<double> XAug; ///< Reused augmented-row scratch (intercept).
+  /// Runtime-width kernel scratch: P*x, then the augmented row
+  /// (2 * stateWidth()).
+  std::vector<double> Scratch;
   uint64_t Seen = 0;
   bool Fitted = false;
 };

@@ -171,40 +171,150 @@ TEST(ServingEngine, AutoFoldsWhenEpochSizeReached) {
 }
 
 TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
-  SumModel M;
+  // After EVERY fold, the query-visible table must equal one trace-order
+  // pass accumulating per (tenant, app) exactly like an unsharded,
+  // unbatched server — on the FP and the quantized path, at several
+  // shard counts. Short epochs over a skewed fleet leave many cells
+  // untouched by any given epoch, so a fold that publishes only the
+  // cells its epoch touched must still carry every earlier total.
+  ml::Dataset Train = miniTrainingSet(3, 0x31);
+  std::unique_ptr<ml::Model> Fp = fittedLr(Train);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  ASSERT_TRUE(bool(Quant));
+  SumModel Sum;
   MiniTrace T = makeMiniTrace(5000, 37, 5, 3, 0xABCD);
+  const size_t NumCells = T.NumTenants * T.NumApps;
 
-  // Reference: one pass in trace order, accumulating per (tenant, app)
-  // exactly like an unsharded, unbatched server would.
-  std::vector<double> WantEnergy(T.NumTenants * T.NumApps, 0.0);
-  std::vector<uint64_t> WantCount(T.NumTenants * T.NumApps, 0);
-  std::vector<double> Row(T.Width);
-  for (size_t I = 0; I < T.size(); ++I) {
-    for (size_t F = 0; F < T.Width; ++F)
-      Row[F] = T.Features[I * T.Width + F];
-    const size_t Cell = T.Tenants[I] * T.NumApps + T.Apps[I];
-    WantEnergy[Cell] += M.predict(Row);
-    WantCount[Cell] += 1;
-  }
-
-  // Forced through multiple partial epochs and small batches.
-  ServingConfig Config;
-  Config.NumShards = 3;
-  Config.EpochSize = 512;
-  Config.BatchSize = 32;
-  ServingEngine Engine = replayed(M, T, Config);
-  for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
-    double Energy = 0;
-    uint64_t Count = 0;
-    for (uint32_t App = 0; App < T.NumApps; ++App) {
-      Energy += WantEnergy[Tenant * T.NumApps + App];
-      Count += WantCount[Tenant * T.NumApps + App];
+  // One row's prediction, made the way a batch job makes it.
+  auto PredictRow = [&](const ml::Model &M, const double *X) {
+    double Out = 0;
+    if (&M == Quant->get()) {
+      std::vector<int32_t> Q(T.Width);
+      (*Quant)->quantizeRow(X, Q.data());
+      (*Quant)->predictQuantizedMany(Q.data(), 1, &Out);
+    } else {
+      ml::Dataset Row(Train.featureNames());
+      Row.addRow(X, 0.0);
+      M.predictBatchInto(Row, &Out);
     }
-    EXPECT_EQ(Engine.tenantEnergy(Tenant), Energy) << "tenant " << Tenant;
-    EXPECT_EQ(Engine.tenantObservations(Tenant), Count);
+    return Out;
+  };
+
+  const std::vector<const ml::Model *> Models = {&Sum, Fp.get(),
+                                                 Quant->get()};
+  for (const ml::Model *M : Models) {
+    for (unsigned Shards : {1u, 3u, 8u}) {
+      SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards");
+      ServingConfig Config;
+      Config.NumShards = Shards;
+      Config.EpochSize = 512;
+      Config.BatchSize = 8; // Crosses the per-shard staging bound too.
+      ServingEngine Engine(*M, T.Width, T.NumTenants, T.NumApps, Config);
+
+      std::vector<double> WantEnergy(NumCells, 0.0);
+      std::vector<uint64_t> WantCount(NumCells, 0);
+      std::vector<bool> TouchedThisEpoch(NumCells, false);
+      uint64_t WantPublished = 0;
+      auto ExpectFoldedReference = [&] {
+        for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
+          double Energy = 0;
+          uint64_t Count = 0;
+          for (uint32_t App = 0; App < T.NumApps; ++App) {
+            Energy += WantEnergy[Tenant * T.NumApps + App];
+            Count += WantCount[Tenant * T.NumApps + App];
+          }
+          ASSERT_EQ(Engine.tenantEnergy(Tenant), Energy) << "tenant " << Tenant;
+          ASSERT_EQ(Engine.tenantObservations(Tenant), Count);
+        }
+        ASSERT_EQ(Engine.stats().CellsPublished, WantPublished);
+      };
+      for (size_t I = 0; I < T.size(); ++I) {
+        const double *X = T.Features.data() + I * T.Width;
+        const size_t Cell = T.Tenants[I] * T.NumApps + T.Apps[I];
+        WantEnergy[Cell] += PredictRow(*M, X);
+        WantCount[Cell] += 1;
+        if (!TouchedThisEpoch[Cell]) {
+          TouchedThisEpoch[Cell] = true;
+          ++WantPublished;
+        }
+        const uint64_t Epochs = Engine.stats().Epochs;
+        Engine.ingest(T.Tenants[I], T.Apps[I], X);
+        if (Engine.stats().Epochs != Epochs) {
+          std::fill(TouchedThisEpoch.begin(), TouchedThisEpoch.end(), false);
+          ExpectFoldedReference();
+        }
+      }
+      Engine.endEpoch();
+      ExpectFoldedReference();
+      EXPECT_EQ(Engine.stats().Observations, T.size());
+      EXPECT_EQ(Engine.stats().Epochs, 10u); // ceil(5000 / 512).
+      EXPECT_LT(WantPublished, Engine.stats().Epochs * NumCells);
+    }
   }
-  EXPECT_EQ(Engine.stats().Observations, T.size());
-  EXPECT_EQ(Engine.stats().Epochs, 10u); // ceil(5000 / 512).
+}
+
+TEST(ServingEngine, FoldKeepsTotalsOfCellsItDoesNotTouch) {
+  SumModel M;
+  ServingConfig Config;
+  Config.NumShards = 2;
+  ServingEngine Engine(M, 1, /*NumTenants=*/4, /*NumApps=*/2, Config);
+  const double One = 1.0, Two = 2.0;
+  Engine.ingest(0, 0, &One);
+  Engine.ingest(1, 1, &Two);
+  Engine.ingest(2, 0, &One);
+  Engine.ingest(3, 1, &Two);
+  Engine.endEpoch();
+  EXPECT_EQ(Engine.stats().CellsPublished, 4u);
+
+  // The second epoch touches one cell of tenant 0 only.
+  Engine.ingest(0, 0, &Two);
+  Engine.ingest(0, 0, &Two);
+  Engine.endEpoch();
+  EXPECT_EQ(Engine.stats().CellsPublished, 5u);
+  EXPECT_EQ(Engine.tenantEnergy(0), 5.0);
+  EXPECT_EQ(Engine.tenantObservations(0), 3u);
+  for (uint32_t Tenant : {1u, 2u, 3u})
+    EXPECT_EQ(Engine.tenantObservations(Tenant), 1u) << "tenant " << Tenant;
+  EXPECT_EQ(Engine.tenantEnergy(1), 2.0);
+  EXPECT_EQ(Engine.tenantEnergy(2), 1.0);
+  EXPECT_EQ(Engine.tenantEnergy(3), 2.0);
+  EXPECT_EQ(Engine.appEnergy(0), 6.0);
+  EXPECT_EQ(Engine.appEnergy(1), 4.0);
+  EXPECT_EQ(Engine.fleetEnergy(), 10.0);
+}
+
+TEST(ServingEngine, MidEpochFlushStaysInvisibleUntilTheFold) {
+  // A shard holding 16 full batches runs them before the epoch ends;
+  // queries must keep answering from the previous fold's snapshot.
+  SumModel M;
+  ServingConfig Config;
+  Config.NumShards = 1;
+  Config.EpochSize = 1000;
+  Config.BatchSize = 2;
+  ServingEngine Engine(M, 1, /*NumTenants=*/3, /*NumApps=*/2, Config);
+  const double One = 1.0;
+  Engine.ingest(0, 0, &One);
+  Engine.ingest(1, 1, &One);
+  Engine.endEpoch();
+  const uint64_t BatchesAtFold = Engine.stats().Batches;
+
+  for (int I = 0; I < 40; ++I)
+    Engine.ingest(static_cast<uint32_t>(I % 3), static_cast<uint32_t>(I % 2),
+                  &One);
+  ASSERT_GT(Engine.stats().Batches, BatchesAtFold); // The bound flushed.
+  ASSERT_EQ(Engine.stats().Epochs, 1u);
+  EXPECT_EQ(Engine.tenantEnergy(0), 1.0);
+  EXPECT_EQ(Engine.tenantEnergy(1), 1.0);
+  EXPECT_EQ(Engine.tenantEnergy(2), 0.0);
+  EXPECT_EQ(Engine.tenantObservations(2), 0u);
+  EXPECT_EQ(Engine.appObservations(0), 1u);
+  EXPECT_EQ(Engine.fleetEnergy(), 2.0);
+  EXPECT_EQ(Engine.stats().Observations, 2u);
+
+  Engine.endEpoch();
+  EXPECT_EQ(Engine.fleetEnergy(), 42.0);
+  EXPECT_EQ(Engine.tenantObservations(2), 13u);
+  EXPECT_EQ(Engine.stats().Observations, 42u);
 }
 
 TEST(ServingEngine, BitIdenticalAtAnyShardAndThreadCount) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <numeric>
 
@@ -149,6 +150,68 @@ TEST(RlsLinearRegression, InterceptModeTracksRefit) {
         relDiff(Reference.coefficients()[C], Streaming.coefficients()[C]),
         1e-8);
   EXPECT_NEAR(Streaming.intercept(), 7.0, 0.1);
+}
+
+TEST(RlsLinearRegression, BatchedUpdateBitIdenticalToRowByRow) {
+  // One N-row update() call must leave exactly the bits N single-row
+  // calls leave, across compile-time-specialised state widths and the
+  // runtime-width fallback (width 9 plus an intercept slot), and must
+  // write its state back: a second batch continues from the first.
+  for (bool ZeroIntercept : {true, false}) {
+    for (size_t Width : {1u, 2u, 4u, 5u, 9u}) {
+      Rng R(Width * 2 + ZeroIntercept);
+      std::vector<std::string> Names;
+      for (size_t F = 0; F < Width; ++F)
+        Names.push_back("f" + std::to_string(F));
+      auto Draw = [&](size_t N, std::vector<double> &Rows,
+                      std::vector<double> &Targets) {
+        Rows.resize(N * Width);
+        Targets.resize(N);
+        for (size_t I = 0; I < N; ++I) {
+          double Y = 2.5;
+          for (size_t F = 0; F < Width; ++F) {
+            Rows[I * Width + F] = R.uniform(0.5, 10);
+            Y += static_cast<double>(F + 1) * Rows[I * Width + F];
+          }
+          Targets[I] = Y + R.gaussian(0, 0.1);
+        }
+      };
+      std::vector<double> SeedRows, SeedTargets;
+      Draw(Width + 8, SeedRows, SeedTargets);
+      Dataset Seed(Names);
+      for (size_t I = 0; I < SeedTargets.size(); ++I)
+        Seed.addRow(SeedRows.data() + I * Width, SeedTargets[I]);
+
+      for (size_t N : {0u, 1u, 257u}) {
+        SCOPED_TRACE("width " + std::to_string(Width) + ", N " +
+                     std::to_string(N) +
+                     (ZeroIntercept ? ", zero intercept" : ", intercept"));
+        RlsOptions Options;
+        Options.ZeroIntercept = ZeroIntercept;
+        RlsLinearRegression Batched(Options), RowByRow(Options);
+        ASSERT_TRUE(bool(Batched.fit(Seed)));
+        ASSERT_TRUE(bool(RowByRow.fit(Seed)));
+        const uint64_t Before = Batched.observations();
+        for (size_t Round = 0; Round < 2; ++Round) {
+          std::vector<double> Rows, Targets;
+          Draw(N, Rows, Targets);
+          Batched.update(Rows.data(), Targets.data(), N);
+          for (size_t I = 0; I < N; ++I)
+            RowByRow.update(Rows.data() + I * Width, Targets[I]);
+          ASSERT_EQ(Batched.coefficients().size(), Width);
+          EXPECT_EQ(0, std::memcmp(Batched.coefficients().data(),
+                                   RowByRow.coefficients().data(),
+                                   Width * sizeof(double)))
+              << "round " << Round;
+          const double BI = Batched.intercept(), RI = RowByRow.intercept();
+          EXPECT_EQ(0, std::memcmp(&BI, &RI, sizeof(double)))
+              << "round " << Round;
+          EXPECT_EQ(Batched.observations(), Before + (Round + 1) * N);
+          EXPECT_EQ(RowByRow.observations(), Batched.observations());
+        }
+      }
+    }
+  }
 }
 
 TEST(RlsLinearRegression, PredictVariantsAgreeBitExactly) {
