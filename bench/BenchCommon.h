@@ -24,16 +24,18 @@
 #include "pmc/PlatformEvents.h"
 #include "sim/Machine.h"
 #include "stats/SimdKernels.h"
+#include "support/Cli.h"
 #include "support/PhaseTimers.h"
 #include "support/Str.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,128 +70,92 @@ inline unsigned &requestedThreads() {
   return Threads;
 }
 
-/// Parses the shared driver flags and \returns the remaining positional
-/// arguments. `--threads N` (or the SLOPE_THREADS environment variable)
-/// sizes the global experiment thread pool; parallel results are
-/// bit-identical at any setting, so the knob trades wall clock only.
-/// `--tree-algo naive|presorted` selects the decision-tree growth
-/// algorithm, `--nn-algo naive|batched` the neural-network training
-/// kernel, and `--synth-algo naive|batched` the counter-synthesis kernel
-/// (all bit-neutral; perf gates compare the two sides). `--infer-algo
-/// fp|quantized` (or SLOPE_INFER_ALGO) selects the inference kernel the
-/// model factories serve — unlike the bit-neutral switches it changes
-/// numerics within ml/QuantizedModel's documented error bound, so the CI
-/// gate checks speedup and tolerance together. `--fit-algo rls|refit`
-/// (or SLOPE_FIT_ALGO) selects the online-model maintenance path
-/// (O(F^2) Sherman-Morrison updates vs the O(N*F^2) full-refit
-/// reference); like --infer-algo it is tolerance-gated, not
-/// bit-identical — see ml/RlsLinearRegression.h. `--simd
-/// auto|avx2|scalar` (or SLOPE_SIMD) selects the SIMD kernel variant:
-/// auto (the default) enables only the bit-identical column-parallel
-/// AVX2 kernels, avx2 additionally opts into the reassociating K-split
-/// kernels, scalar forces the reference — see stats/SimdKernels.h.
-/// `--bench-json
-/// PATH` (or SLOPE_BENCH_JSON) writes a machine-readable timing summary
-/// to PATH without changing anything on stdout. `--sweep-repeat N`
-/// repeats the model sweep in benches that support it; `--profile-repeat
-/// N` likewise repeats the profiling campaign (extra passes discarded).
-/// google-benchmark style `--benchmark_*` flags are accepted and ignored
-/// so CI can pass one command line to every bench binary.
-inline std::vector<std::string> parseArgs(int Argc, char **Argv) {
+/// One process-wide kernel switch a driver flag selects. The owning
+/// module reads its SLOPE_* variable at startup (so test and
+/// google-benchmark binaries honour it too) and spells its values once,
+/// in the Choice array beside its enum; the flag takes the same values.
+struct KernelSwitch {
+  /// Driver flag; its --bench-json key is the name with '-' as '_'.
+  const char *Flag;
+  /// Declares Flag on a parser: the module's names, routed to its setter.
+  void (*Declare)(slope::cli::FlagParser &Flags, const char *Flag);
+  /// The value --bench-json reports.
+  const char *(*Get)();
+};
+
+/// Builds the KernelSwitch row for the names \p Names, setter \p Set
+/// and getter \p Get of one module.
+template <auto &Names, auto Set, auto Get>
+KernelSwitch kernelSwitch(const char *Flag) {
+  return {Flag,
+          [](slope::cli::FlagParser &Flags, const char *Name) {
+            Flags.choice(Name, Names, Set);
+          },
+          [] {
+            if constexpr (std::is_same_v<decltype(Get()), const char *>)
+              return Get();
+            else
+              return slope::cli::nameOf(Names, Get());
+          }};
+}
+
+/// Every live kernel switch, in --bench-json order. An explicit list,
+/// not self-registration: the modules are static archives, and an
+/// unreferenced registration object would be dropped at link time.
+inline const std::vector<KernelSwitch> &kernelSwitches() {
+  using namespace slope;
+  static const std::vector<KernelSwitch> Table = {
+      kernelSwitch<ml::TreeAlgorithmNames, ml::setDefaultTreeAlgorithm,
+                   ml::defaultTreeAlgorithm>("--tree-algo"),
+      kernelSwitch<ml::NnAlgorithmNames, ml::setDefaultNnAlgorithm,
+                   ml::defaultNnAlgorithm>("--nn-algo"),
+      kernelSwitch<sim::SynthAlgorithmNames, sim::setDefaultSynthAlgorithm,
+                   sim::defaultSynthAlgorithm>("--synth-algo"),
+      kernelSwitch<ml::InferenceAlgorithmNames,
+                   ml::setDefaultInferenceAlgorithm,
+                   ml::defaultInferenceAlgorithm>("--infer-algo"),
+      // Reports the *resolved* variant the column-parallel kernels ran
+      // with on this host (auto resolves to "avx2" or "scalar"), so
+      // archived JSON records what executed rather than what was asked.
+      kernelSwitch<stats::SimdModeNames, stats::setDefaultSimdMode,
+                   stats::resolvedSimdVariant>("--simd"),
+  };
+  return Table;
+}
+
+/// Parses a driver's command line: \p Flags carries the driver's own
+/// flags and positionals, to which this adds the shared ones, and any
+/// unknown flag or bad value exits 2 listing what is accepted. \returns
+/// the positional arguments.
+///
+/// `--threads N` (or SLOPE_THREADS; 0 = pool default) sizes the global
+/// experiment thread pool; parallel results are bit-identical at any
+/// setting, so the knob trades wall clock only. The kernelSwitches()
+/// flags select kernels: `--tree-algo`, `--nn-algo` and `--synth-algo`
+/// are bit-neutral (perf gates compare the two sides); `--infer-algo
+/// fp|quantized` changes numerics within ml/QuantizedModel's documented
+/// error bound, so its CI gate checks speedup and tolerance together;
+/// `--simd auto|avx2|scalar` picks the SIMD variant (auto enables only
+/// the bit-identical column-parallel AVX2 kernels, avx2 also the
+/// reassociating K-split ones, scalar forces the reference — see
+/// stats/SimdKernels.h). `--bench-json PATH` (or SLOPE_BENCH_JSON)
+/// writes a machine-readable timing summary to PATH without changing
+/// stdout. `--sweep-repeat N` repeats the model sweep in benches that
+/// support it; `--profile-repeat N` likewise repeats the profiling
+/// campaign (extra passes discarded).
+inline std::vector<std::string> parseArgs(int Argc, char **Argv,
+                                          slope::cli::FlagParser Flags = {}) {
   if (const char *Env = std::getenv("SLOPE_BENCH_JSON"))
     benchJsonPath() = Env;
-  auto SetThreads = [](const char *Value) {
-    long N = std::strtol(Value, nullptr, 10);
-    requestedThreads() = N > 0 ? static_cast<unsigned>(N) : 0;
-    slope::ThreadPool::setGlobalThreadCount(requestedThreads());
-  };
-  auto SetTreeAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultTreeAlgorithm(Value == "naive"
-                                           ? slope::ml::TreeAlgorithm::Naive
-                                           : slope::ml::TreeAlgorithm::Presorted);
-  };
-  auto SetNnAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultNnAlgorithm(Value == "naive"
-                                         ? slope::ml::NnAlgorithm::Naive
-                                         : slope::ml::NnAlgorithm::Batched);
-  };
-  auto SetSynthAlgo = [](const std::string &Value) {
-    slope::sim::setDefaultSynthAlgorithm(
-        Value == "naive" ? slope::sim::SynthAlgorithm::Naive
-                         : slope::sim::SynthAlgorithm::Batched);
-  };
-  auto SetInferAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultInferenceAlgorithm(
-        Value == "quantized" ? slope::ml::InferenceAlgorithm::Quantized
-                             : slope::ml::InferenceAlgorithm::Fp);
-  };
-  auto SetFitAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultFitAlgorithm(Value == "refit"
-                                          ? slope::ml::FitAlgorithm::Refit
-                                          : slope::ml::FitAlgorithm::Rls);
-  };
-  auto SetSimd = [](const std::string &Value) {
-    slope::stats::setDefaultSimdMode(
-        Value == "scalar" ? slope::stats::SimdMode::Scalar
-        : Value == "avx2" ? slope::stats::SimdMode::Avx2
-                          : slope::stats::SimdMode::Auto);
-  };
-  std::vector<std::string> Positional;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--threads" && I + 1 < Argc) {
-      SetThreads(Argv[++I]);
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      SetThreads(Arg.c_str() + std::strlen("--threads="));
-    } else if (Arg == "--tree-algo" && I + 1 < Argc) {
-      SetTreeAlgo(Argv[++I]);
-    } else if (Arg.rfind("--tree-algo=", 0) == 0) {
-      SetTreeAlgo(Arg.substr(std::strlen("--tree-algo=")));
-    } else if (Arg == "--nn-algo" && I + 1 < Argc) {
-      SetNnAlgo(Argv[++I]);
-    } else if (Arg.rfind("--nn-algo=", 0) == 0) {
-      SetNnAlgo(Arg.substr(std::strlen("--nn-algo=")));
-    } else if (Arg == "--synth-algo" && I + 1 < Argc) {
-      SetSynthAlgo(Argv[++I]);
-    } else if (Arg.rfind("--synth-algo=", 0) == 0) {
-      SetSynthAlgo(Arg.substr(std::strlen("--synth-algo=")));
-    } else if (Arg == "--infer-algo" && I + 1 < Argc) {
-      SetInferAlgo(Argv[++I]);
-    } else if (Arg.rfind("--infer-algo=", 0) == 0) {
-      SetInferAlgo(Arg.substr(std::strlen("--infer-algo=")));
-    } else if (Arg == "--fit-algo" && I + 1 < Argc) {
-      SetFitAlgo(Argv[++I]);
-    } else if (Arg.rfind("--fit-algo=", 0) == 0) {
-      SetFitAlgo(Arg.substr(std::strlen("--fit-algo=")));
-    } else if (Arg == "--simd" && I + 1 < Argc) {
-      SetSimd(Argv[++I]);
-    } else if (Arg.rfind("--simd=", 0) == 0) {
-      SetSimd(Arg.substr(std::strlen("--simd=")));
-    } else if (Arg == "--bench-json" && I + 1 < Argc) {
-      benchJsonPath() = Argv[++I];
-    } else if (Arg.rfind("--bench-json=", 0) == 0) {
-      benchJsonPath() = Arg.substr(std::strlen("--bench-json="));
-    } else if (Arg == "--profile-repeat" && I + 1 < Argc) {
-      long N = std::strtol(Argv[++I], nullptr, 10);
-      profileRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--profile-repeat=", 0) == 0) {
-      long N = std::strtol(Arg.c_str() + std::strlen("--profile-repeat="),
-                           nullptr, 10);
-      profileRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg == "--sweep-repeat" && I + 1 < Argc) {
-      long N = std::strtol(Argv[++I], nullptr, 10);
-      sweepRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--sweep-repeat=", 0) == 0) {
-      long N = std::strtol(Arg.c_str() + std::strlen("--sweep-repeat="),
-                           nullptr, 10);
-      sweepRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--benchmark_", 0) == 0) {
-      // Ignored: lets the CI smoke step pass google-benchmark flags to
-      // table binaries that render directly.
-    } else {
-      Positional.push_back(std::move(Arg));
-    }
-  }
+  Flags.number("--threads", requestedThreads(), 0u,
+               slope::ThreadPool::MaxThreads);
+  for (const KernelSwitch &Switch : kernelSwitches())
+    Switch.Declare(Flags, Switch.Flag);
+  Flags.text("--bench-json", benchJsonPath(), "PATH");
+  Flags.number("--sweep-repeat", sweepRepeatFlag(), 1u);
+  Flags.number("--profile-repeat", profileRepeatFlag(), 1u);
+  std::vector<std::string> Positional = Flags.parseOrExit(Argc, Argv);
+  slope::ThreadPool::setGlobalThreadCount(requestedThreads());
   return Positional;
 }
 
@@ -242,35 +208,11 @@ inline void writeBenchJson(const char *BenchName) {
     TotalMs += Ms;
   std::fprintf(F, "{\n  \"bench\": \"%s\",\n  \"threads\": %u,\n", BenchName,
                requestedThreads());
-  std::fprintf(F, "  \"tree_algo\": \"%s\",\n",
-               slope::ml::defaultTreeAlgorithm() ==
-                       slope::ml::TreeAlgorithm::Naive
-                   ? "naive"
-                   : "presorted");
-  std::fprintf(F, "  \"nn_algo\": \"%s\",\n",
-               slope::ml::defaultNnAlgorithm() == slope::ml::NnAlgorithm::Naive
-                   ? "naive"
-                   : "batched");
-  std::fprintf(F, "  \"synth_algo\": \"%s\",\n",
-               slope::sim::defaultSynthAlgorithm() ==
-                       slope::sim::SynthAlgorithm::Naive
-                   ? "naive"
-                   : "batched");
-  std::fprintf(F, "  \"infer_algo\": \"%s\",\n",
-               slope::ml::defaultInferenceAlgorithm() ==
-                       slope::ml::InferenceAlgorithm::Quantized
-                   ? "quantized"
-                   : "fp");
-  std::fprintf(F, "  \"fit_algo\": \"%s\",\n",
-               slope::ml::defaultFitAlgorithm() ==
-                       slope::ml::FitAlgorithm::Refit
-                   ? "refit"
-                   : "rls");
-  // The *resolved* variant the column-parallel kernels actually ran with
-  // on this host (auto resolves to "avx2" or "scalar" here), so archived
-  // JSON records what executed rather than what was requested.
-  std::fprintf(F, "  \"simd\": \"%s\",\n",
-               slope::stats::resolvedSimdVariant());
+  for (const KernelSwitch &Switch : kernelSwitches()) {
+    std::string Key = Switch.Flag + 2;
+    std::replace(Key.begin(), Key.end(), '-', '_');
+    std::fprintf(F, "  \"%s\": \"%s\",\n", Key.c_str(), Switch.Get());
+  }
   std::fprintf(F, "  \"sweep_repeat\": %u,\n", sweepRepeatFlag());
   std::fprintf(F, "  \"profile_repeat\": %u,\n", profileRepeatFlag());
   std::fprintf(F, "  \"sections\": [\n");

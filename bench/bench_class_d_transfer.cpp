@@ -21,32 +21,19 @@ using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
-
   // Driver-specific knobs: --bases/--compounds size the per-platform app
   // suites, --epochs/--trees the NN/RF training budgets, --tolerance the
   // additivity threshold the filtered counter sets are built from.
   // Defaults are the full study; CI smoke passes a scaled-down
   // configuration.
   ClassDConfig Config;
-  for (size_t I = 0; I < Rest.size(); ++I) {
-    auto Next = [&](size_t &Out) {
-      if (I + 1 < Rest.size())
-        Out = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-    };
-    size_t Value = 0;
-    if (Rest[I] == "--bases") {
-      Next(Config.NumBaseApps);
-    } else if (Rest[I] == "--compounds") {
-      Next(Config.NumCompounds);
-    } else if (Rest[I] == "--epochs") {
-      Next(Value), Config.NnEpochs = static_cast<unsigned>(Value);
-    } else if (Rest[I] == "--trees") {
-      Next(Config.RfTrees);
-    } else if (Rest[I] == "--tolerance" && I + 1 < Rest.size()) {
-      Config.Additivity.TolerancePct = std::strtod(Rest[++I].c_str(), nullptr);
-    }
-  }
+  cli::FlagParser Flags;
+  Flags.number<size_t>("--bases", Config.NumBaseApps, 1);
+  Flags.number<size_t>("--compounds", Config.NumCompounds, 1);
+  Flags.number<unsigned>("--epochs", Config.NnEpochs, 1);
+  Flags.number<size_t>("--trees", Config.RfTrees, 1);
+  Flags.number("--tolerance", Config.Additivity.TolerancePct);
+  bench::parseArgs(Argc, Argv, std::move(Flags));
 
   bench::banner("Class D: cross-architecture transfer over the platform zoo");
 

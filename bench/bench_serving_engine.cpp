@@ -37,27 +37,31 @@ std::vector<std::string> pa4Names() {
   return {Pa[0], Pa[1], Pa[3], Pa[7]};
 }
 
-ModelFamily parseFamily(const std::string &Name) {
-  if (Name == "lr")
-    return ModelFamily::LR;
-  if (Name == "nn")
-    return ModelFamily::NN;
-  if (Name == "knn")
-    return ModelFamily::Knn;
-  return ModelFamily::RF;
-}
+const cli::Choice<ModelFamily> FamilyNames[] = {
+    {"lr", ModelFamily::LR},
+    {"rf", ModelFamily::RF},
+    {"nn", ModelFamily::NN},
+    {"knn", ModelFamily::Knn},
+};
+
+/// --retrain modes: off serves the frozen estimator; rls and refit serve
+/// an online model maintained by that ml::FitAlgorithm.
+enum class RetrainMode { Off, Rls, Refit };
+const cli::Choice<RetrainMode> RetrainNames[] = {
+    {"rls", RetrainMode::Rls},
+    {"refit", RetrainMode::Refit},
+    {"off", RetrainMode::Off},
+};
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
-
   // Driver-specific knobs (defaults are the CI gate's configuration).
   size_t Observations = 1000000;
   uint32_t Tenants = 10000;
   size_t NumApps = 12;
   size_t TrainApps = 200;
-  std::string Family = "rf";
+  ModelFamily Family = ModelFamily::RF;
   // --retrain rls|refit|off: online-retrain mode. rls serves and updates
   // an RLS model (O(F^2) per observation); refit serves the same model
   // but re-solves the batch fit over the accumulated history at every
@@ -66,39 +70,25 @@ int main(int Argc, char **Argv) {
   // energy-per-feature ratio by up to +/-X across the trace, the
   // workload shift that separates a frozen model's staleness_error from
   // a retrained one's.
-  std::string Retrain = "off";
+  RetrainMode Retrain = RetrainMode::Off;
   bool RetrainSeen = false;
   double Drift = 0;
   ServingConfig Config;
-  for (size_t I = 0; I < Rest.size(); ++I) {
-    auto Next = [&](size_t &Out) {
-      if (I + 1 < Rest.size())
-        Out = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-    };
-    size_t Value = 0;
-    if (Rest[I] == "--observations") {
-      Next(Observations);
-    } else if (Rest[I] == "--tenants") {
-      Next(Value), Tenants = static_cast<uint32_t>(Value);
-    } else if (Rest[I] == "--apps") {
-      Next(NumApps);
-    } else if (Rest[I] == "--train-apps") {
-      Next(TrainApps);
-    } else if (Rest[I] == "--shards") {
-      Next(Value), Config.NumShards = static_cast<unsigned>(Value);
-    } else if (Rest[I] == "--epoch-size") {
-      Next(Config.EpochSize);
-    } else if (Rest[I] == "--batch-size") {
-      Next(Config.BatchSize);
-    } else if (Rest[I] == "--family" && I + 1 < Rest.size()) {
-      Family = Rest[++I];
-    } else if (Rest[I] == "--retrain" && I + 1 < Rest.size()) {
-      Retrain = Rest[++I];
-      RetrainSeen = true;
-    } else if (Rest[I] == "--drift" && I + 1 < Rest.size()) {
-      Drift = std::strtod(Rest[++I].c_str(), nullptr);
-    }
-  }
+  cli::FlagParser Flags;
+  Flags.number<size_t>("--observations", Observations, 1);
+  Flags.number<uint32_t>("--tenants", Tenants, 1);
+  Flags.number<size_t>("--apps", NumApps, 1);
+  Flags.number<size_t>("--train-apps", TrainApps, 1);
+  Flags.number("--shards", Config.NumShards); // 0 = one per thread
+  Flags.number<size_t>("--epoch-size", Config.EpochSize, 1);
+  Flags.number<size_t>("--batch-size", Config.BatchSize, 1);
+  Flags.choice("--family", Family, FamilyNames);
+  Flags.choice("--retrain", RetrainNames, [&](RetrainMode Mode) {
+    Retrain = Mode;
+    RetrainSeen = true;
+  });
+  Flags.number("--drift", Drift);
+  bench::parseArgs(Argc, Argv, std::move(Flags));
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag
@@ -126,7 +116,7 @@ int main(int Argc, char **Argv) {
 
   Expected<OnlineEstimator> Estimator =
       OnlineEstimator::train(M, Meter, pa4Names(), TrainingApps,
-                             parseFamily(Family), /*Seed=*/1);
+                             Family, /*Seed=*/1);
   if (!Estimator) {
     std::fprintf(stderr, "error: %s\n",
                  Estimator.error().message().c_str());
@@ -155,13 +145,10 @@ int main(int Argc, char **Argv) {
   // the epoch back into it.
   ml::RlsLinearRegression OnlineModel;
   ml::Dataset SeedData;
-  const bool RetrainOn = Retrain == "rls" || Retrain == "refit";
-  if (RetrainOn) {
-    const ml::FitAlgorithm Algo = Retrain == "refit"
+  if (Retrain != RetrainMode::Off) {
+    const ml::FitAlgorithm Algo = Retrain == RetrainMode::Refit
                                       ? ml::FitAlgorithm::Refit
                                       : ml::FitAlgorithm::Rls;
-    // Record the mode under test in the JSON fit_algo field.
-    ml::setDefaultFitAlgorithm(Algo);
     std::vector<std::string> FeatureNames;
     for (size_t F = 0; F < Trace->width(); ++F)
       FeatureNames.push_back("pmc" + std::to_string(F));
@@ -215,7 +202,7 @@ int main(int Argc, char **Argv) {
               str::scientific(Engine.fleetEnergy()).c_str(),
               static_cast<unsigned long long>(Engine.stats().Observations));
   std::printf("Retrain: %s; staleness error %s over %llu retrains.\n",
-              Retrain.c_str(),
+              cli::nameOf(RetrainNames, Retrain),
               str::scientific(Engine.stats().stalenessError()).c_str(),
               static_cast<unsigned long long>(Engine.stats().Retrains));
 

@@ -17,14 +17,16 @@
 
 #include "sim/Platform.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace slope;
 using namespace slope::sim;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args = bench::parseArgs(Argc, Argv);
+  bool WithZoo = false;
+  cli::FlagParser Flags;
+  Flags.toggle("--zoo", WithZoo);
+  bench::parseArgs(Argc, Argv, std::move(Flags));
   bench::banner("Table 1: platform specifications");
   Platform H = Platform::intelHaswellServer();
   Platform S = Platform::intelSkylakeServer();
@@ -44,7 +46,7 @@ int main(int Argc, char **Argv) {
                   std::to_string(S.buildRegistry().size())});
   std::printf("%s\n", Derived.render().c_str());
 
-  if (std::find(Args.begin(), Args.end(), "--zoo") == Args.end())
+  if (!WithZoo)
     return 0;
 
   // The Class D platform zoo: same derived quantities for the non-Intel

@@ -22,7 +22,10 @@ using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args = bench::parseArgs(Argc, Argv);
+  cli::FlagParser Flags;
+  Flags.positionals(1, "ARCHIVE.csv");
+  std::vector<std::string> Args =
+      bench::parseArgs(Argc, Argv, std::move(Flags));
   bench::banner("Table 6: PA/PNA energy correlations");
   ClassBCResult Result;
   {

@@ -23,12 +23,11 @@
 #include "core/AdditivityChecker.h"
 #include "core/PmcSelector.h"
 #include "sim/TestSuite.h"
+#include "support/Cli.h"
 #include "support/Str.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,121 +36,56 @@ using namespace slope::core;
 using namespace slope::sim;
 
 namespace {
-struct CliOptions {
-  std::string PlatformName = "haswell";
-  std::vector<std::string> Matches;
-  size_t NumBases = 24;
-  size_t NumCompounds = 12;
-  double TolerancePct = 5.0;
-  std::string Suite = "diverse";
-  size_t Top = 0; // 0 = all.
-  uint64_t Seed = 2019;
+enum class Suite { Diverse, DgemmFft };
+
+const cli::Choice<Suite> SuiteNames[] = {
+    {"diverse", Suite::Diverse},
+    {"dgemm-fft", Suite::DgemmFft},
 };
 
-void printUsage() {
-  std::printf(
-      "usage: additivity_checker [--platform haswell|skylake|zen2|biglittle]\n"
-      "                          [--match SUBSTR]... [--bases N]\n"
-      "                          [--compounds N] [--tolerance PCT]\n"
-      "                          [--suite diverse|dgemm-fft] [--top N]\n"
-      "                          [--seed S]\n");
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
-    };
-    if (Arg == "--help" || Arg == "-h")
-      return false;
-    if (Arg == "--platform") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.PlatformName = V;
-    } else if (Arg == "--match") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.Matches.push_back(V);
-    } else if (Arg == "--bases") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.NumBases = std::strtoull(V, nullptr, 10);
-    } else if (Arg == "--compounds") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.NumCompounds = std::strtoull(V, nullptr, 10);
-    } else if (Arg == "--tolerance") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.TolerancePct = std::strtod(V, nullptr);
-    } else if (Arg == "--suite") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.Suite = V;
-    } else if (Arg == "--top") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.Top = std::strtoull(V, nullptr, 10);
-    } else if (Arg == "--seed") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Options.Seed = std::strtoull(V, nullptr, 10);
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
+const cli::Choice<Platform (*)()> PlatformNames[] = {
+    {"haswell", Platform::intelHaswellServer},
+    {"skylake", Platform::intelSkylakeServer},
+    {"zen2", Platform::amdZen2Server},
+    // The board-level machine: the big.LITTLE registry is the A15
+    // superset, so every cluster event can be checked here.
+    {"biglittle", Platform::armBigLittle},
+};
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliOptions Options;
-  if (!parseArgs(Argc, Argv, Options)) {
-    printUsage();
-    return 1;
-  }
+  Platform (*MakePlatform)() = Platform::intelHaswellServer;
+  std::vector<std::string> Matches;
+  size_t NumBases = 24, NumCompounds = 12;
+  double TolerancePct = 5.0;
+  Suite BaseSuite = Suite::Diverse;
+  size_t Top = 0; // 0 = all.
+  uint64_t Seed = 2019;
+  cli::FlagParser Flags;
+  Flags.choice("--platform", MakePlatform, PlatformNames);
+  Flags.list("--match", Matches, "SUBSTR");
+  Flags.number<size_t>("--bases", NumBases, 1);
+  Flags.number<size_t>("--compounds", NumCompounds, 1);
+  Flags.number("--tolerance", TolerancePct);
+  Flags.choice("--suite", BaseSuite, SuiteNames);
+  Flags.number("--top", Top);
+  Flags.number("--seed", Seed);
+  Flags.parseOrExit(Argc, Argv);
 
-  Platform Plat;
-  if (str::lower(Options.PlatformName) == "haswell") {
-    Plat = Platform::intelHaswellServer();
-  } else if (str::lower(Options.PlatformName) == "skylake") {
-    Plat = Platform::intelSkylakeServer();
-  } else if (str::lower(Options.PlatformName) == "zen2") {
-    Plat = Platform::amdZen2Server();
-  } else if (str::lower(Options.PlatformName) == "biglittle") {
-    // The board-level machine: the big.LITTLE registry is the A15
-    // superset, so every cluster event can be checked here.
-    Plat = Platform::armBigLittle();
-  } else {
-    std::fprintf(stderr, "error: unknown platform '%s'\n",
-                 Options.PlatformName.c_str());
-    return 1;
-  }
-
-  Machine M(Plat, Options.Seed);
-  Rng R(Options.Seed);
+  Machine M(MakePlatform(), Seed);
+  Rng R(Seed);
 
   std::vector<Application> Bases;
-  if (Options.Suite == "dgemm-fft")
-    Bases = dgemmFftAdditivityBases(Options.NumBases);
+  if (BaseSuite == Suite::DgemmFft)
+    Bases = dgemmFftAdditivityBases(NumBases);
   else
-    Bases = diverseBaseSuite(M.platform(), Options.NumBases, R.fork("b"));
+    Bases = diverseBaseSuite(M.platform(), NumBases, R.fork("b"));
   std::vector<CompoundApplication> Compounds =
-      makeCompoundSuite(Bases, Options.NumCompounds, R.fork("p"));
+      makeCompoundSuite(Bases, NumCompounds, R.fork("p"));
 
-  std::vector<pmc::EventId> Events =
-      Options.Matches.empty() ? M.registry().allEvents()
-                              : M.registry().findByName(Options.Matches);
+  std::vector<pmc::EventId> Events = Matches.empty()
+                                         ? M.registry().allEvents()
+                                         : M.registry().findByName(Matches);
   if (Events.empty()) {
     std::fprintf(stderr, "error: no events match the given filters\n");
     return 1;
@@ -160,15 +94,15 @@ int main(int Argc, char **Argv) {
   std::printf("AdditivityChecker: %zu event(s) on %s, %zu bases, %zu "
               "compounds, tolerance %.1f%%\n\n",
               Events.size(), M.platform().Name.c_str(), Bases.size(),
-              Compounds.size(), Options.TolerancePct);
+              Compounds.size(), TolerancePct);
 
   AdditivityTestConfig Config;
-  Config.TolerancePct = Options.TolerancePct;
+  Config.TolerancePct = TolerancePct;
   AdditivityChecker Checker(M, Config);
   std::vector<AdditivityResult> Results =
       rankByAdditivity(Checker.checkAll(Events, Compounds));
-  if (Options.Top != 0 && Results.size() > Options.Top)
-    Results.resize(Options.Top);
+  if (Top != 0 && Results.size() > Top)
+    Results.resize(Top);
 
   TablePrinter T({"#", "PMC", "Max err (%)", "Worst CV", "Verdict"});
   size_t Rank = 1, NumAdditive = 0;
@@ -185,6 +119,6 @@ int main(int Argc, char **Argv) {
   }
   std::printf("%s\n%zu of %zu tested events are additive at %.1f%%.\n",
               T.render().c_str(), NumAdditive, Results.size(),
-              Options.TolerancePct);
+              TolerancePct);
   return 0;
 }

@@ -15,24 +15,22 @@
 
 #include "core/Experiments.h"
 #include "core/Report.h"
+#include "support/Cli.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
   bool Full = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--full") == 0)
-      Full = true;
-    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
-      ThreadPool::setGlobalThreadCount(
-          static_cast<unsigned>(std::atoi(Argv[++I])));
-  }
+  unsigned Threads = 0;
+  cli::FlagParser Flags;
+  Flags.toggle("--full", Full);
+  Flags.number("--threads", Threads, 0u, ThreadPool::MaxThreads);
+  Flags.parseOrExit(Argc, Argv);
+  ThreadPool::setGlobalThreadCount(Threads);
 
   ClassAConfig Config;
   if (!Full) {

@@ -22,11 +22,10 @@
 #include "core/DerivedMetrics.h"
 #include "core/PmcProfiler.h"
 #include "pmc/PerformanceGroups.h"
+#include "support/Cli.h"
 #include "support/Str.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace slope;
@@ -36,13 +35,11 @@ using namespace slope::sim;
 
 namespace {
 
-int usage() {
-  std::printf("usage: perfctr [-p haswell|skylake] [-g GROUP] "
-              "[-k KERNEL] [-n SIZE]\n"
-              "       perfctr --list-groups [-p PLATFORM]\n"
-              "       perfctr --list-kernels\n");
-  return 1;
-}
+/// -p spellings; the value says whether the platform is the Haswell.
+const cli::Choice<bool> PlatformNames[] = {
+    {"haswell", true},
+    {"skylake", false},
+};
 
 Expected<KernelKind> kernelByName(const std::string &Name) {
   for (KernelKind Kind : allKernels())
@@ -54,45 +51,19 @@ Expected<KernelKind> kernelByName(const std::string &Name) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string PlatformName = "skylake";
+  bool IsHaswell = false;
   std::string GroupName = "FLOPS_DP";
   std::string KernelName = "mkl-dgemm";
   uint64_t Size = 12000;
   bool ListGroups = false, ListKernels = false;
-
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
-    };
-    if (Arg == "-p") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      PlatformName = V;
-    } else if (Arg == "-g") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      GroupName = V;
-    } else if (Arg == "-k") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      KernelName = V;
-    } else if (Arg == "-n") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Size = std::strtoull(V, nullptr, 10);
-    } else if (Arg == "--list-groups") {
-      ListGroups = true;
-    } else if (Arg == "--list-kernels") {
-      ListKernels = true;
-    } else {
-      return usage();
-    }
-  }
+  cli::FlagParser Flags;
+  Flags.choice("-p", IsHaswell, PlatformNames);
+  Flags.text("-g", GroupName, "GROUP");
+  Flags.text("-k", KernelName, "KERNEL");
+  Flags.number("-n", Size);
+  Flags.toggle("--list-groups", ListGroups);
+  Flags.toggle("--list-kernels", ListKernels);
+  Flags.parseOrExit(Argc, Argv);
 
   if (ListKernels) {
     for (KernelKind Kind : allKernels()) {
@@ -105,12 +76,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  bool IsHaswell = str::lower(PlatformName) == "haswell";
-  if (!IsHaswell && str::lower(PlatformName) != "skylake") {
-    std::fprintf(stderr, "error: unknown platform '%s'\n",
-                 PlatformName.c_str());
-    return 1;
-  }
   std::vector<PerformanceGroup> Groups =
       IsHaswell ? haswellPerformanceGroups() : skylakePerformanceGroups();
 

@@ -147,7 +147,7 @@ public:
   /// over the seed plus every epoch — and the two paths' attributions
   /// agree to solver precision.
   void enableOnlineRetrain(ml::RlsLinearRegression &Online,
-                           ml::FitAlgorithm Algo = ml::defaultFitAlgorithm(),
+                           ml::FitAlgorithm Algo,
                            const ml::Dataset *SeedHistory = nullptr);
 
   /// Stages one observation (\p Features: featureWidth() values) in its

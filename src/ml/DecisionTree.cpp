@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 
 using namespace slope;
@@ -17,17 +16,8 @@ using namespace slope::ml;
 void (*ml::detail::TreeGrowPhaseProbe)(bool) = nullptr;
 
 namespace {
-TreeAlgorithm initialTreeAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_TREE_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return TreeAlgorithm::Naive;
-    if (std::string_view(Env) == "presorted")
-      return TreeAlgorithm::Presorted;
-  }
-  return TreeAlgorithm::Presorted;
-}
-
-TreeAlgorithm GlobalTreeAlgorithm = initialTreeAlgorithm();
+TreeAlgorithm GlobalTreeAlgorithm = cli::envChoice(
+    "SLOPE_TREE_ALGO", TreeAlgorithmNames, TreeAlgorithm::Presorted);
 } // namespace
 
 void ml::setDefaultTreeAlgorithm(TreeAlgorithm A) {

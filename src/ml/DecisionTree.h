@@ -31,6 +31,7 @@
 #define SLOPE_ML_DECISIONTREE_H
 
 #include "ml/Model.h"
+#include "support/Cli.h"
 #include "support/Rng.h"
 
 #include <cstdint>
@@ -45,9 +46,16 @@ enum class TreeAlgorithm {
   Naive,     ///< Per-node re-sorting (seed kernel; reference baseline).
 };
 
+/// Spellings of the selectable algorithms, for SLOPE_TREE_ALGO and the
+/// drivers' --tree-algo.
+inline constexpr cli::Choice<TreeAlgorithm> TreeAlgorithmNames[] = {
+    {"naive", TreeAlgorithm::Naive},
+    {"presorted", TreeAlgorithm::Presorted},
+};
+
 /// Overrides the process-wide algorithm used when options say Default.
 /// The initial value honours the SLOPE_TREE_ALGO environment variable
-/// ("naive" or "presorted"); benches expose it as --tree-algo.
+/// (one of TreeAlgorithmNames); benches expose it as --tree-algo.
 void setDefaultTreeAlgorithm(TreeAlgorithm A);
 
 /// \returns the process-wide default growth algorithm (never Default).

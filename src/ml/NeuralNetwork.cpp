@@ -12,10 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <string_view>
 
 using namespace slope;
 using namespace slope::ml;
@@ -23,17 +21,8 @@ using namespace slope::ml;
 void (*ml::detail::NnFitPhaseProbe)(bool) = nullptr;
 
 namespace {
-NnAlgorithm initialNnAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_NN_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return NnAlgorithm::Naive;
-    if (std::string_view(Env) == "batched")
-      return NnAlgorithm::Batched;
-  }
-  return NnAlgorithm::Batched;
-}
-
-NnAlgorithm GlobalNnAlgorithm = initialNnAlgorithm();
+NnAlgorithm GlobalNnAlgorithm =
+    cli::envChoice("SLOPE_NN_ALGO", NnAlgorithmNames, NnAlgorithm::Batched);
 } // namespace
 
 void ml::setDefaultNnAlgorithm(NnAlgorithm A) {

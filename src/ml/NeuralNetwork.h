@@ -37,6 +37,7 @@
 #define SLOPE_ML_NEURALNETWORK_H
 
 #include "ml/Model.h"
+#include "support/Cli.h"
 #include "support/Rng.h"
 
 namespace slope {
@@ -59,9 +60,16 @@ enum class NnAlgorithm {
   Naive,   ///< Per-sample forward/backprop (seed kernel; reference).
 };
 
+/// Spellings of the selectable kernels, for SLOPE_NN_ALGO and the
+/// drivers' --nn-algo.
+inline constexpr cli::Choice<NnAlgorithm> NnAlgorithmNames[] = {
+    {"naive", NnAlgorithm::Naive},
+    {"batched", NnAlgorithm::Batched},
+};
+
 /// Overrides the process-wide kernel used when options say Default.
 /// The initial value honours the SLOPE_NN_ALGO environment variable
-/// ("naive" or "batched"); benches expose it as --nn-algo.
+/// (one of NnAlgorithmNames); benches expose it as --nn-algo.
 void setDefaultNnAlgorithm(NnAlgorithm A);
 
 /// \returns the process-wide default training kernel (never Default).

@@ -13,8 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 using namespace slope;
 using namespace slope::ml;
@@ -30,17 +28,8 @@ constexpr double WeightCapQuanta = 268435456.0;           // 2^28
 constexpr double LeafCapQuanta = 17592186044416.0;        // 2^44
 constexpr size_t MaxQuantizedWidth = QuantizedModel::MaxWidth;
 
-InferenceAlgorithm initialInferenceAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_INFER_ALGO")) {
-    if (std::string_view(Env) == "quantized")
-      return InferenceAlgorithm::Quantized;
-    if (std::string_view(Env) == "fp")
-      return InferenceAlgorithm::Fp;
-  }
-  return InferenceAlgorithm::Fp;
-}
-
-InferenceAlgorithm GlobalInferenceAlgorithm = initialInferenceAlgorithm();
+InferenceAlgorithm GlobalInferenceAlgorithm = cli::envChoice(
+    "SLOPE_INFER_ALGO", InferenceAlgorithmNames, InferenceAlgorithm::Fp);
 
 /// The largest power of two <= \p X (X > 0), computed exactly.
 double floorPow2(double X) {

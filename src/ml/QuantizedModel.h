@@ -53,6 +53,7 @@
 
 #include "ml/Model.h"
 #include "stats/SimdKernels.h"
+#include "support/Cli.h"
 
 #include <algorithm>
 #include <cmath>
@@ -75,9 +76,16 @@ enum class InferenceAlgorithm {
   Quantized, ///< Fixed-point twin built by QuantizedModel::build.
 };
 
+/// Spellings of the inference algorithms, for SLOPE_INFER_ALGO and the
+/// drivers' --infer-algo.
+inline constexpr cli::Choice<InferenceAlgorithm> InferenceAlgorithmNames[] = {
+    {"fp", InferenceAlgorithm::Fp},
+    {"quantized", InferenceAlgorithm::Quantized},
+};
+
 /// Overrides the process-wide inference algorithm. The initial value
-/// honours the SLOPE_INFER_ALGO environment variable ("fp" or
-/// "quantized"); benches expose it as --infer-algo.
+/// honours the SLOPE_INFER_ALGO environment variable (one of
+/// InferenceAlgorithmNames); benches expose it as --infer-algo.
 void setDefaultInferenceAlgorithm(InferenceAlgorithm A);
 
 /// \returns the process-wide default inference algorithm.

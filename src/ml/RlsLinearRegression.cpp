@@ -10,26 +10,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 using namespace slope;
 using namespace slope::ml;
 
 namespace {
-FitAlgorithm initialFitAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_FIT_ALGO")) {
-    if (std::string_view(Env) == "refit")
-      return FitAlgorithm::Refit;
-    if (std::string_view(Env) == "rls")
-      return FitAlgorithm::Rls;
-  }
-  return FitAlgorithm::Rls;
-}
-
-FitAlgorithm GlobalFitAlgorithm = initialFitAlgorithm();
-
 /// Sherman-Morrison on P = G^-1 for G' = G + x x^T, row by row over \p N
 /// rows of \p Rows (row width \p StateWidth minus the intercept slot):
 ///   Px    = P x
@@ -114,10 +100,6 @@ kernelTable(std::index_sequence<Widths...>) {
 /// intercept slot); entry 0 is the runtime-width fallback.
 constexpr auto FixedWidthKernels = kernelTable(std::make_index_sequence<10>());
 } // namespace
-
-void ml::setDefaultFitAlgorithm(FitAlgorithm A) { GlobalFitAlgorithm = A; }
-
-FitAlgorithm ml::defaultFitAlgorithm() { return GlobalFitAlgorithm; }
 
 Expected<bool> RlsLinearRegression::fit(const Dataset &Training) {
   if (Training.numRows() == 0)

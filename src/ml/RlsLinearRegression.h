@@ -14,12 +14,13 @@
 /// property the serving engine's online-retrain mode is built on.
 ///
 /// The O(N*F^2) full refit over the accumulated stream stays the
-/// selectable reference (FitAlgorithm, `--fit-algo rls|refit` /
-/// SLOPE_FIT_ALGO). RLS reassociates the Gram accumulation, so the
-/// contract against the reference is a property-tested tolerance (< 1e-8
-/// relative coefficient and prediction error after every stream prefix),
-/// mirroring the AVX2 K-split kernels' contract rather than the
-/// bit-identity contract of the other selectable algorithms.
+/// selectable reference (FitAlgorithm, chosen per engine by
+/// core::ServingEngine::enableOnlineRetrain). RLS reassociates the Gram
+/// accumulation, so the contract against the reference is a
+/// property-tested tolerance (< 1e-8 relative coefficient and prediction
+/// error after every stream prefix), mirroring the AVX2 K-split kernels'
+/// contract rather than the bit-identity contract of the other
+/// selectable algorithms.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,16 +40,6 @@ enum class FitAlgorithm {
   Refit, ///< Full batch refit over the accumulated stream (reference).
   Rls,   ///< Sherman-Morrison rank-1 updates (fast path).
 };
-
-/// Overrides the process-wide online-fit algorithm. The initial value
-/// honours the SLOPE_FIT_ALGO environment variable ("rls" / "refit") and
-/// defaults to Rls; the --fit-algo driver flag routes here. The offline
-/// table drivers never consult this switch — LinearRegression::fit is
-/// untouched, so the paper tables stay byte-identical under any setting.
-void setDefaultFitAlgorithm(FitAlgorithm A);
-
-/// \returns the process-wide online-fit algorithm.
-FitAlgorithm defaultFitAlgorithm();
 
 /// Configuration of the streaming linear model.
 struct RlsOptions {

@@ -13,25 +13,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 using namespace slope;
 using namespace slope::pmc;
 using namespace slope::sim;
 
 namespace {
-SynthAlgorithm initialSynthAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_SYNTH_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return SynthAlgorithm::Naive;
-    if (std::string_view(Env) == "batched")
-      return SynthAlgorithm::Batched;
-  }
-  return SynthAlgorithm::Batched;
-}
-
-SynthAlgorithm GlobalSynthAlgorithm = initialSynthAlgorithm();
+SynthAlgorithm GlobalSynthAlgorithm = cli::envChoice(
+    "SLOPE_SYNTH_ALGO", SynthAlgorithmNames, SynthAlgorithm::Batched);
 } // namespace
 
 void sim::setDefaultSynthAlgorithm(SynthAlgorithm A) {

@@ -21,6 +21,7 @@
 #include "pmc/CounterScheduler.h"
 #include "sim/Application.h"
 #include "sim/EnergyModel.h"
+#include "support/Cli.h"
 #include "support/Rng.h"
 
 namespace slope {
@@ -94,9 +95,16 @@ enum class SynthAlgorithm {
   Batched, ///< Blocked pass over a machine-wide flattened term table.
 };
 
+/// Spellings of the synthesis kernels, for SLOPE_SYNTH_ALGO and the
+/// drivers' --synth-algo.
+inline constexpr cli::Choice<SynthAlgorithm> SynthAlgorithmNames[] = {
+    {"naive", SynthAlgorithm::Naive},
+    {"batched", SynthAlgorithm::Batched},
+};
+
 /// Overrides the process-wide synthesis kernel. The initial value honours
-/// the SLOPE_SYNTH_ALGO environment variable ("naive" / "batched") and
-/// defaults to Batched; the --synth-algo driver flag routes here.
+/// the SLOPE_SYNTH_ALGO environment variable (one of SynthAlgorithmNames)
+/// and defaults to Batched; the --synth-algo driver flag routes here.
 void setDefaultSynthAlgorithm(SynthAlgorithm A);
 
 /// \returns the process-wide synthesis kernel.

@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <emmintrin.h>
@@ -32,17 +30,8 @@ bool avx2Available() {
 #endif
 }
 
-SimdMode initialMode() {
-  if (const char *Env = std::getenv("SLOPE_SIMD")) {
-    if (std::strcmp(Env, "scalar") == 0)
-      return SimdMode::Scalar;
-    if (std::strcmp(Env, "avx2") == 0)
-      return SimdMode::Avx2;
-  }
-  return SimdMode::Auto;
-}
-
-SimdMode GlobalSimdMode = SimdMode::Auto;
+SimdMode GlobalSimdMode =
+    cli::envChoice("SLOPE_SIMD", SimdModeNames, SimdMode::Auto);
 
 void resolveDispatch() {
   const bool Available = avx2Available();
@@ -52,13 +41,8 @@ void resolveDispatch() {
       Available && GlobalSimdMode == SimdMode::Avx2;
 }
 
-// Applies the SLOPE_SIMD environment variable before main() runs,
-// mirroring the other SLOPE_*_ALGO switches.
-const bool EnvInitDone = [] {
-  GlobalSimdMode = initialMode();
-  resolveDispatch();
-  return true;
-}();
+// Resolves the SLOPE_SIMD mode's dispatch before main() runs.
+const bool EnvInitDone = (resolveDispatch(), true);
 
 } // namespace
 

@@ -40,6 +40,8 @@
 #ifndef SLOPE_STATS_SIMDKERNELS_H
 #define SLOPE_STATS_SIMDKERNELS_H
 
+#include "support/Cli.h"
+
 #include <cstddef>
 #include <cstdint>
 
@@ -54,9 +56,16 @@ enum class SimdMode {
   Scalar, ///< Force every kernel to the scalar bit-identity reference.
 };
 
+/// Spellings of the SIMD modes, for SLOPE_SIMD and the drivers' --simd.
+inline constexpr cli::Choice<SimdMode> SimdModeNames[] = {
+    {"auto", SimdMode::Auto},
+    {"avx2", SimdMode::Avx2},
+    {"scalar", SimdMode::Scalar},
+};
+
 /// Overrides the process-wide SIMD mode and re-resolves the dispatch
 /// flags. The initial value honours the SLOPE_SIMD environment variable
-/// ("auto", "avx2", "scalar"); benches expose it as --simd. Not
+/// (one of SimdModeNames); benches expose it as --simd. Not
 /// thread-safe against concurrent kernel calls (set it at startup or
 /// between phases, like the other --*-algo switches).
 void setDefaultSimdMode(SimdMode M);

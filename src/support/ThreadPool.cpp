@@ -6,10 +6,11 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Cli.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 
 using namespace slope;
@@ -159,13 +160,12 @@ std::mutex GlobalPoolMutex;
 std::unique_ptr<ThreadPool> GlobalPool;
 unsigned GlobalThreadOverride = 0;
 
+const unsigned EnvThreadCount =
+    cli::envNumber("SLOPE_THREADS", 0u, ThreadPool::MaxThreads, 0u);
+
 unsigned autoThreadCount() {
-  if (const char *Env = std::getenv("SLOPE_THREADS")) {
-    char *EndPtr = nullptr;
-    long Value = std::strtol(Env, &EndPtr, 10);
-    if (EndPtr != Env && *EndPtr == '\0' && Value > 0)
-      return static_cast<unsigned>(Value);
-  }
+  if (EnvThreadCount > 0)
+    return EnvThreadCount;
   unsigned HW = std::thread::hardware_concurrency();
   return HW > 0 ? HW : 1;
 }

@@ -15,8 +15,9 @@
 ///
 /// The pool size is process-global by default: `ThreadPool::global()`
 /// obeys `setGlobalThreadCount(N)` (the `--threads` flag of the drivers)
-/// or, failing that, the `SLOPE_THREADS` environment variable, or, failing
-/// that, the hardware concurrency.
+/// or, failing that, the `SLOPE_THREADS` environment variable (read once
+/// at startup; 0 means unset), or, failing that, the hardware
+/// concurrency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +78,9 @@ public:
   /// \returns the process-global pool, (re)sized per the current
   /// configuration. Do not reconfigure while parallel work is in flight.
   static ThreadPool &global();
+
+  /// The largest pool size `--threads` and SLOPE_THREADS accept.
+  static constexpr unsigned MaxThreads = 1024;
 
   /// Overrides the global pool size; 0 restores automatic sizing
   /// (SLOPE_THREADS, then hardware concurrency). Takes effect on the next
