@@ -239,6 +239,11 @@ inline void writeBenchJson(const char *BenchName) {
   std::fprintf(F, "  \"profile_ms\": %.3f,\n",
                static_cast<double>(slope::phaseTotalNs(slope::Phase::Profile)) /
                    1e6);
+  // meter_ms is the HclWattsUp readings' share of it (the serial stream
+  // plan plus the parallel sampling), also calling-thread wall clock.
+  std::fprintf(F, "  \"meter_ms\": %.3f,\n",
+               static_cast<double>(slope::phaseTotalNs(slope::Phase::Meter)) /
+                   1e6);
   std::fprintf(F, "  \"synth_ms\": %.3f,\n",
                static_cast<double>(slope::phaseTotalNs(slope::Phase::Synth)) /
                    1e6);

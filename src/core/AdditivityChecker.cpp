@@ -43,21 +43,42 @@ void AdditivityChecker::prewarm(
     const std::vector<CompoundApplication> &Compounds) {
   // Mirror check()'s lazy execution order exactly: stage 1 runs the
   // distinct bases (in discovery order), stage 2 then tops bases up to
-  // RunsPerMean and runs each compound. The machine is stateful, so
-  // matching this order keeps every synthesized execution — and thus every
-  // downstream verdict — bit-identical to a serial, lazy scan.
+  // RunsPerMean and runs each compound. Each cache entry is sized to what
+  // that order needs up front, and every missing run's slot is listed in
+  // the order the scan would perform it.
+  struct MissingRun {
+    CompoundApplication App;
+    std::vector<Execution> *Runs;
+    size_t Index;
+  };
+  std::vector<MissingRun> Missing;
+  auto Want = [&](const CompoundApplication &App, unsigned Runs) {
+    std::vector<Execution> &Stored = Cache[App.str()];
+    for (; Stored.size() < Runs; Stored.emplace_back())
+      Missing.push_back({App, &Stored, Stored.size()});
+  };
   std::vector<Application> Bases;
   for (const CompoundApplication &Compound : Compounds)
     for (const Application &Base : Compound.Phases)
       if (std::find(Bases.begin(), Bases.end(), Base) == Bases.end())
         Bases.push_back(Base);
   for (const Application &Base : Bases)
-    executionsFor(CompoundApplication(Base), Config.ReproducibilityRuns);
+    Want(CompoundApplication(Base), Config.ReproducibilityRuns);
   for (const CompoundApplication &Compound : Compounds) {
     for (const Application &Base : Compound.Phases)
-      executionsFor(CompoundApplication(Base), Config.RunsPerMean);
-    executionsFor(Compound, Config.RunsPerMean);
+      Want(CompoundApplication(Base), Config.RunsPerMean);
+    Want(Compound, Config.RunsPerMean);
   }
+
+  // The machine is stateful, so the seeds fork serially in listing order;
+  // the runs are pure given a seed and fill their slots in parallel —
+  // bit-identical to a serial, lazy scan. Runs are microseconds of work:
+  // hand the pool small blocks.
+  std::vector<uint64_t> Seeds = M.forkRunSeeds(Missing.size());
+  parallelFor(0, Missing.size(), 8, [&](size_t I) {
+    const MissingRun &Run = Missing[I];
+    (*Run.Runs)[Run.Index] = M.runWithSeed(Run.App, Seeds[I]);
+  });
 }
 
 double AdditivityChecker::meanCount(pmc::EventId Id,

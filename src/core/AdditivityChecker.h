@@ -78,11 +78,11 @@ public:
                          const std::vector<sim::CompoundApplication> &Compounds);
 
   /// Tests many events over one suite, sharing the cached executions.
-  /// Executions are materialized serially first (the machine is stateful,
-  /// and the cache must match what a lazy serial scan would produce), then
-  /// the per-event verdicts — pure reads against the cache — are computed
-  /// in parallel on the global thread pool. Results are bit-identical to
-  /// calling check() per event, at any thread count.
+  /// Executions are materialized first — run seeds forked serially in the
+  /// order a lazy serial scan would consume them, the runs in parallel —
+  /// then the per-event verdicts, pure reads against the cache, are
+  /// computed in parallel on the global thread pool. Results are
+  /// bit-identical to calling check() per event, at any thread count.
   std::vector<AdditivityResult>
   checkAll(const std::vector<pmc::EventId> &Ids,
            const std::vector<sim::CompoundApplication> &Compounds);
@@ -91,7 +91,8 @@ public:
 
 private:
   /// Runs every execution check() would lazily trigger for \p Compounds,
-  /// in the same machine-run order, so a subsequent check() is a pure
+  /// on the run seeds the same machine-run order would draw (forked
+  /// serially, executed in parallel), so a subsequent check() is a pure
   /// cache read (and therefore safe to run concurrently per event).
   void prewarm(const std::vector<sim::CompoundApplication> &Compounds);
 

@@ -37,8 +37,9 @@ DatasetBuilder::build(const std::vector<CompoundApplication> &Apps,
   //      application-major order — the order a serial scan consumes them;
   //   2. the executions themselves are pure given a seed, so all
   //      applications' runs fan out over the pool into disjoint slots;
-  //   3. meter readings are stateful (the sampling RNG advances per
-  //      reading) and stay serial in the same scan order;
+  //   3. the meter plans its sampling stream serially in the same scan
+  //      order (each reading's start state, then a skip over its draws),
+  //      and the readings sample in parallel from those starts;
   //   4. the per-application reductions are pure reads of (2) and (3)
   //      and fan out again, one disjoint slice each.
   const size_t RunsPerApp = Plan->numRuns() * Options.Repetitions;

@@ -26,9 +26,9 @@ PmcProfiler::collect(const CompoundApplication &App,
 
   // Perform every execution of the campaign up front: seeds fork from the
   // machine's run counter in the exact order a serial per-run loop would
-  // consume them, then the runs execute in parallel. The meter is stateful
-  // (its sampling RNG advances per reading), so readings stay serial in
-  // the same scan order.
+  // consume them, then the runs execute in parallel. The meter takes the
+  // readings as one batch: it plans its sampling stream serially in the
+  // same scan order and samples the readings in parallel.
   std::vector<Execution> Execs =
       M.runBatch(App, Plan->numRuns() * Repetitions);
   std::vector<power::EnergyReading> Readings;

@@ -6,6 +6,8 @@
 
 #include "power/HclWattsUp.h"
 
+#include "support/PhaseTimers.h"
+
 #include <cassert>
 
 using namespace slope;
@@ -20,20 +22,22 @@ HclWattsUp::HclWattsUp(Machine &M, std::unique_ptr<PowerMeter> Meter,
 }
 
 EnergyReading HclWattsUp::readingFor(const Execution &Exec) {
-  EnergyReading Reading;
-  Reading.TimeSec = Exec.totalTimeSec();
-  Reading.TotalEnergyJ = Meter->measureTotalEnergyJ(M, Exec);
-  Reading.DynamicEnergyJ =
-      Reading.TotalEnergyJ - StaticPowerW * Reading.TimeSec;
-  return Reading;
+  return readingsFor({&Exec, 1}).front();
 }
 
 std::vector<EnergyReading>
-HclWattsUp::readingsFor(const std::vector<Execution> &Execs) {
-  std::vector<EnergyReading> Readings;
-  Readings.reserve(Execs.size());
-  for (const Execution &Exec : Execs)
-    Readings.push_back(readingFor(Exec));
+HclWattsUp::readingsFor(std::span<const Execution> Execs) {
+  ScopedPhase Timer(Phase::Meter);
+  std::vector<double> TotalJ(Execs.size());
+  Meter->measureTotalEnergiesJ(M, Execs, TotalJ);
+  std::vector<EnergyReading> Readings(Execs.size());
+  for (size_t I = 0; I < Execs.size(); ++I) {
+    EnergyReading &Reading = Readings[I];
+    Reading.TimeSec = Execs[I].totalTimeSec();
+    Reading.TotalEnergyJ = TotalJ[I];
+    Reading.DynamicEnergyJ =
+        Reading.TotalEnergyJ - StaticPowerW * Reading.TimeSec;
+  }
   return Readings;
 }
 

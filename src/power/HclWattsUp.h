@@ -45,14 +45,15 @@ public:
   EnergyReading measureRun(const sim::CompoundApplication &App);
 
   /// Computes the reading for an already-performed execution (used when
-  /// PMCs and energy must come from the same run).
+  /// PMCs and energy must come from the same run): the batch of one.
   EnergyReading readingFor(const sim::Execution &Exec);
 
-  /// Readings for a batch of already-performed executions, in order. The
-  /// meter is stateful (its sampling RNG advances per reading), so batch
-  /// campaigns funnel all their readings through this one serial scan to
-  /// stay bit-identical to reading each execution as it finishes.
-  std::vector<EnergyReading> readingsFor(const std::vector<sim::Execution> &Execs);
+  /// Readings for a batch of already-performed executions, in order,
+  /// bit-identical to reading each execution as it finishes. The meter's
+  /// sampling stream is planned serially and the readings sample in
+  /// parallel (see WattsUpProMeter), so campaigns hand the meter all their
+  /// executions at once. Charged to Phase::Meter on the calling thread.
+  std::vector<EnergyReading> readingsFor(std::span<const sim::Execution> Execs);
 
   /// Measures the dynamic energy of \p App with the repeated-runs
   /// methodology; \returns the converged sample-mean summary.

@@ -19,6 +19,7 @@
 
 #include "sim/Machine.h"
 
+#include <span>
 #include <string>
 
 namespace slope {
@@ -30,10 +31,22 @@ public:
   virtual ~PowerMeter();
 
   /// Measures the total (static + dynamic) energy in joules consumed
-  /// while \p Exec ran on \p M. Each call models a fresh measurement
-  /// (fresh sampling alignment and sensor noise).
-  virtual double measureTotalEnergyJ(const sim::Machine &M,
-                                     const sim::Execution &Exec) = 0;
+  /// while each of \p Execs ran on \p M, writing Execs[I]'s reading to
+  /// \p TotalJ[I] (sizes must match). Each reading models a fresh
+  /// measurement (fresh sampling alignment and sensor noise); a batch is
+  /// bit-identical to measuring its executions one after the other, in
+  /// order, and leaves the meter where that serial scan would.
+  virtual void measureTotalEnergiesJ(const sim::Machine &M,
+                                     std::span<const sim::Execution> Execs,
+                                     std::span<double> TotalJ) = 0;
+
+  /// One reading: the batch of one.
+  double measureTotalEnergyJ(const sim::Machine &M,
+                             const sim::Execution &Exec) {
+    double TotalJ = 0;
+    measureTotalEnergiesJ(M, {&Exec, 1}, {&TotalJ, 1});
+    return TotalJ;
+  }
 
   /// Measures the idle machine's power (watts) by observing it for
   /// \p Seconds with no load. Used for static-power calibration.
@@ -56,19 +69,32 @@ struct WattsUpOptions {
 
 /// WattsUp Pro: samples the power profile at ~1 Hz, quantizes to 0.1 W,
 /// adds proportional sensor noise, and integrates samples over the run.
+///
+/// A reading's draw count is fixed by its first draw (the sampling
+/// offset) and the run's duration, so a batch plans the stream serially
+/// — recording each reading's start state and skipping its draws with
+/// Rng::discard — and then samples the readings in parallel from their
+/// own copies. Readings and the final stream position match a serial
+/// scan bit for bit at any thread count.
 class WattsUpProMeter : public PowerMeter {
 public:
   explicit WattsUpProMeter(WattsUpOptions Options = WattsUpOptions(),
                            uint64_t Seed = 0x3A77);
 
-  double measureTotalEnergyJ(const sim::Machine &M,
-                             const sim::Execution &Exec) override;
+  void measureTotalEnergiesJ(const sim::Machine &M,
+                             std::span<const sim::Execution> Execs,
+                             std::span<double> TotalJ) override;
   double measureIdlePowerW(const sim::Machine &M, double Seconds) override;
   std::string name() const override { return "WattsUp Pro"; }
 
 private:
   /// One noisy, quantized sample of an instantaneous power \p TrueW.
-  double sample(double TrueW);
+  double sample(Rng &Stream, double TrueW) const;
+
+  /// Samples one reading of \p Exec from \p Stream, which must sit at
+  /// the reading's first draw; leaves it after the reading's last.
+  double sampleReading(const sim::Machine &M, const sim::Execution &Exec,
+                       Rng &Stream) const;
 
   WattsUpOptions Options;
   Rng MeterRng;

@@ -18,23 +18,26 @@ RaplSensor::RaplSensor(RaplOptions Options, uint64_t Seed)
          "sensor gains must be positive");
 }
 
-double RaplSensor::measureTotalEnergyJ(const Machine &M,
-                                       const Execution &Exec) {
-  // Per-domain energies from the machine's true activity, each through
-  // its biased counter model. The overlap term belongs to the shared
-  // rails; the package counter attributes it to the core domain.
-  double CoreJ = 0, DramJ = 0;
-  for (const ExecutionPhase &Phase : Exec.Phases) {
-    EnergyModel::EnergySplit Split =
-        M.energyModel().dynamicEnergySplit(Phase.Activities);
-    CoreJ += (Split.ComputeJ - Split.OverlapJ) * Options.CoreGain;
-    DramJ += Split.MemoryJ * Options.DramGain;
+void RaplSensor::measureTotalEnergiesJ(const Machine &M,
+                                       std::span<const Execution> Execs,
+                                       std::span<double> TotalJ) {
+  assert(Execs.size() == TotalJ.size() && "one reading slot per execution");
+  for (size_t I = 0; I < Execs.size(); ++I) {
+    // Per-domain energies from the machine's true activity, each through
+    // its biased counter model. The overlap term belongs to the shared
+    // rails; the package counter attributes it to the core domain.
+    double CoreJ = 0, DramJ = 0;
+    for (const ExecutionPhase &Phase : Execs[I].Phases) {
+      EnergyModel::EnergySplit Split =
+          M.energyModel().dynamicEnergySplit(Phase.Activities);
+      CoreJ += (Split.ComputeJ - Split.OverlapJ) * Options.CoreGain;
+      DramJ += Split.MemoryJ * Options.DramGain;
+    }
+    double IdleJ = M.platform().IdlePowerWatts * Options.IdleVisibleFraction *
+                   Execs[I].totalTimeSec();
+    TotalJ[I] = (CoreJ + DramJ + IdleJ) *
+                SensorRng.lognormalFactor(Options.NoiseSigma);
   }
-  double IdleJ = M.platform().IdlePowerWatts * Options.IdleVisibleFraction *
-                 Exec.totalTimeSec();
-  double Total = (CoreJ + DramJ + IdleJ) *
-                 SensorRng.lognormalFactor(Options.NoiseSigma);
-  return Total;
 }
 
 double RaplSensor::measureIdlePowerW(const Machine &M, double Seconds) {

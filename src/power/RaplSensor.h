@@ -46,8 +46,11 @@ public:
   explicit RaplSensor(RaplOptions Options = RaplOptions(),
                       uint64_t Seed = 0x8A91);
 
-  double measureTotalEnergyJ(const sim::Machine &M,
-                             const sim::Execution &Exec) override;
+  /// Reads each execution in order; a reading is one lognormal draw, so
+  /// there is nothing to fan out.
+  void measureTotalEnergiesJ(const sim::Machine &M,
+                             std::span<const sim::Execution> Execs,
+                             std::span<double> TotalJ) override;
   double measureIdlePowerW(const sim::Machine &M, double Seconds) override;
   std::string name() const override { return "RAPL (on-chip)"; }
 

@@ -33,6 +33,10 @@ enum class Phase : unsigned {
                  ///< AdditivityChecker::checkAll, timed on the calling
                  ///< thread so the counter reflects wall clock (and thus
                  ///< credits parallel execution), never summed CPU time.
+  Meter,         ///< HclWattsUp meter batches (the serial stream plan
+                 ///< plus the parallel sampling), timed on the calling
+                 ///< thread: wall clock. Inside a profiling campaign it
+                 ///< is a sub-slice of Profile.
   Synth,         ///< Machine::readCountersBatch counter synthesis
                  ///< (either kernel).
   Serve,         ///< ServingEngine trace replay (ingest, shard epochs,

@@ -42,6 +42,12 @@ uint64_t Rng::next() {
   return Result;
 }
 
+void Rng::discard(uint64_t N) {
+  // Defined beside next() so the step inlines into this loop.
+  for (; N > 0; --N)
+    next();
+}
+
 double Rng::uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

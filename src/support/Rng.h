@@ -34,6 +34,12 @@ public:
   /// \returns the next raw 64-bit draw.
   uint64_t next();
 
+  /// Advances the stream by \p N raw draws, exactly as \p N next() calls
+  /// would. Lets a serial planning pass skip over a consumer's draws
+  /// once it knows their count, leaving the draws themselves to run
+  /// later from a copy taken at the consumer's start.
+  void discard(uint64_t N);
+
   /// \returns a uniform double in [0, 1).
   double uniform();
 

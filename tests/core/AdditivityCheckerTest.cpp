@@ -8,6 +8,7 @@
 
 #include "pmc/PlatformEvents.h"
 #include "sim/TestSuite.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -150,4 +151,57 @@ TEST(AdditivityChecker, PaperClassBContrastHoldsOnDgemmFft) {
     if (!Checker.check(*M.registry().lookup(Name), Compounds).Additive)
       ++NonAdditive;
   EXPECT_GE(NonAdditive, 8u); // All nine PNA events should fail.
+}
+
+TEST(AdditivityChecker, ParallelCheckAllMatchesLazySerialScan) {
+  // checkAll forks its run seeds serially and runs them on the pool; the
+  // verdicts, and the machine's run counter afterwards, must equal
+  // per-event check() calls that run the machine lazily, one at a time.
+  // The second suite overlaps the first, so the prewarm also tops up a
+  // partly filled cache; RunsPerMean > ReproducibilityRuns makes stage 2
+  // top up bases, too.
+  struct Guard {
+    ~Guard() { ThreadPool::setGlobalThreadCount(0); }
+  } RestorePool;
+  AdditivityTestConfig Config;
+  Config.ReproducibilityRuns = 2;
+  Config.RunsPerMean = 4;
+  std::vector<pmc::EventId> Ids;
+  std::vector<std::vector<CompoundApplication>> Suites;
+  {
+    Machine Probe(Platform::intelHaswellServer(), 12);
+    for (const std::string &Name : pmc::haswellClassAPmcNames())
+      Ids.push_back(*Probe.registry().lookup(Name));
+    Suites = {smallSuite(Probe, 5), smallSuite(Probe, 8)};
+  }
+
+  ThreadPool::setGlobalThreadCount(1);
+  Machine RefM(Platform::intelHaswellServer(), 12);
+  AdditivityChecker RefChecker(RefM, Config);
+  std::vector<std::vector<AdditivityResult>> Ref;
+  for (const auto &Suite : Suites) {
+    Ref.emplace_back();
+    for (pmc::EventId Id : Ids)
+      Ref.back().push_back(RefChecker.check(Id, Suite));
+  }
+  const uint64_t RefNextSeed = RefM.forkRunSeeds(1)[0];
+
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    ThreadPool::setGlobalThreadCount(Threads);
+    Machine M(Platform::intelHaswellServer(), 12);
+    AdditivityChecker Checker(M, Config);
+    for (size_t S = 0; S < Suites.size(); ++S) {
+      std::vector<AdditivityResult> Got = Checker.checkAll(Ids, Suites[S]);
+      ASSERT_EQ(Got.size(), Ref[S].size());
+      for (size_t I = 0; I < Got.size(); ++I) {
+        EXPECT_EQ(Got[I].WorstCv, Ref[S][I].WorstCv) << Got[I].Name;
+        EXPECT_EQ(Got[I].MaxErrorPct, Ref[S][I].MaxErrorPct) << Got[I].Name;
+        EXPECT_EQ(Got[I].Additive, Ref[S][I].Additive) << Got[I].Name;
+        ASSERT_EQ(Got[I].Errors.size(), Ref[S][I].Errors.size());
+        for (size_t C = 0; C < Got[I].Errors.size(); ++C)
+          EXPECT_EQ(Got[I].Errors[C].ErrorPct, Ref[S][I].Errors[C].ErrorPct);
+      }
+    }
+    EXPECT_EQ(M.forkRunSeeds(1)[0], RefNextSeed) << Threads << " threads";
+  }
 }

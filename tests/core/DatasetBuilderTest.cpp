@@ -127,12 +127,21 @@ void expectDatasetsIdentical(const ml::Dataset &A, const ml::Dataset &B) {
 } // namespace
 
 TEST(DatasetBuilder, ParallelBuildMatchesSerialPerAppCampaign) {
-  // The fused campaign (seeds pre-forked app-major, runs parallel, meter
-  // serial, reductions parallel) must reproduce profiling each
-  // application one after the other on a twin rig, bit for bit.
+  // The fused campaign (seeds pre-forked app-major, runs parallel, the
+  // meter's stream planned serially and its readings sampled in parallel,
+  // reductions parallel) must reproduce profiling each application one
+  // after the other on a twin rig, bit for bit. Nine applications give
+  // the meter several blocks of readings to sample in parallel.
   CampaignConfigGuard Guard;
   DatasetBuildOptions Options;
   Options.Repetitions = 2;
+  std::vector<CompoundApplication> Apps;
+  for (unsigned Size : {6000u, 9000u, 12000u})
+    for (const CompoundApplication &App : someApps())
+      Apps.emplace_back(App.Phases[0].Kind == KernelKind::MklFft
+                            ? Application(KernelKind::MklFft, Size * 2)
+                            : Application(KernelKind::MklDgemm, Size),
+                        App.Phases[0]);
 
   Machine SerialM(Platform::intelSkylakeServer(), 21);
   power::HclWattsUp SerialMeter(SerialM,
@@ -143,7 +152,7 @@ TEST(DatasetBuilder, ParallelBuildMatchesSerialPerAppCampaign) {
     Events.push_back(*SerialM.registry().lookup(Name));
   ml::Dataset Reference(pmc::skylakePaNames());
   ThreadPool::setGlobalThreadCount(1);
-  for (const CompoundApplication &App : someApps()) {
+  for (const CompoundApplication &App : Apps) {
     auto Profile = SerialProfiler.collect(App, Events, Options.Repetitions);
     ASSERT_TRUE(bool(Profile));
     Reference.addRow(Profile->Counts, Profile->DynamicEnergyJ);
@@ -154,7 +163,7 @@ TEST(DatasetBuilder, ParallelBuildMatchesSerialPerAppCampaign) {
     Machine M(Platform::intelSkylakeServer(), 21);
     power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
     DatasetBuilder Builder(M, Meter, Options);
-    auto Data = Builder.buildByName(someApps(), pmc::skylakePaNames());
+    auto Data = Builder.buildByName(Apps, pmc::skylakePaNames());
     ASSERT_TRUE(bool(Data));
     expectDatasetsIdentical(*Data, Reference);
   }

@@ -8,6 +8,7 @@
 
 #include "../ml/AllocCounting.h"
 #include "pmc/PlatformEvents.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -158,10 +159,15 @@ TEST(PmcProfiler, CountsOrderedLikeRequest) {
 
 TEST(PmcProfiler, BatchedCampaignMatchesSeedEraSerialScan) {
   // Twin rigs with identical seeds: one profiled through the batched
-  // campaign (under both synthesis kernels), one through the seed-era
-  // serial algorithm replicated above. Every count, energy, and time
-  // must agree bit for bit.
+  // campaign (under both synthesis kernels, at pool widths 1, 2 and 8),
+  // one through the seed-era serial algorithm replicated above. Every
+  // count, energy, and time must agree bit for bit. Ten repetitions give
+  // the meter enough readings to plan its stream and sample in parallel.
   SynthAlgoGuard Guard;
+  struct PoolGuard {
+    ~PoolGuard() { ThreadPool::setGlobalThreadCount(0); }
+  } RestorePool;
+  constexpr unsigned Repetitions = 10;
   std::vector<EventId> Ids;
   {
     Machine Probe(Platform::intelHaswellServer(), 9);
@@ -172,21 +178,26 @@ TEST(PmcProfiler, BatchedCampaignMatchesSeedEraSerialScan) {
   power::HclWattsUp RefMeter(RefM,
                              std::make_unique<power::WattsUpProMeter>());
   ProfileResult Ref =
-      referenceCollect(RefM, &RefMeter, dgemm(), Ids, /*Repetitions=*/3);
+      referenceCollect(RefM, &RefMeter, dgemm(), Ids, Repetitions);
 
-  for (SynthAlgorithm Algo :
-       {SynthAlgorithm::Naive, SynthAlgorithm::Batched}) {
-    setDefaultSynthAlgorithm(Algo);
-    Machine M(Platform::intelHaswellServer(), 9);
-    power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
-    PmcProfiler Profiler(M, &Meter);
-    auto Result = Profiler.collect(dgemm(), Ids, /*Repetitions=*/3);
-    ASSERT_TRUE(bool(Result));
-    EXPECT_EQ(Result->RunsUsed, Ref.RunsUsed);
-    EXPECT_EQ(Result->Counts, Ref.Counts);
-    EXPECT_EQ(Result->DynamicEnergyJ, Ref.DynamicEnergyJ);
-    EXPECT_EQ(Result->TotalEnergyJ, Ref.TotalEnergyJ);
-    EXPECT_EQ(Result->TimeSec, Ref.TimeSec);
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    ThreadPool::setGlobalThreadCount(Threads);
+    for (SynthAlgorithm Algo :
+         {SynthAlgorithm::Naive, SynthAlgorithm::Batched}) {
+      setDefaultSynthAlgorithm(Algo);
+      Machine M(Platform::intelHaswellServer(), 9);
+      power::HclWattsUp Meter(M,
+                              std::make_unique<power::WattsUpProMeter>());
+      PmcProfiler Profiler(M, &Meter);
+      auto Result = Profiler.collect(dgemm(), Ids, Repetitions);
+      ASSERT_TRUE(bool(Result));
+      EXPECT_EQ(Result->RunsUsed, Ref.RunsUsed);
+      EXPECT_EQ(Result->Counts, Ref.Counts);
+      EXPECT_EQ(Result->DynamicEnergyJ, Ref.DynamicEnergyJ)
+          << Threads << " threads";
+      EXPECT_EQ(Result->TotalEnergyJ, Ref.TotalEnergyJ);
+      EXPECT_EQ(Result->TimeSec, Ref.TimeSec);
+    }
   }
 }
 

@@ -93,3 +93,22 @@ TEST(RaplSensor, WorksAsHclWattsUpBackend) {
 TEST(RaplSensor, Name) {
   EXPECT_EQ(RaplSensor().name(), "RAPL (on-chip)");
 }
+
+TEST(RaplSensor, BatchMatchesPerReadingLoop) {
+  Machine M(Platform::intelHaswellServer(), 6);
+  std::vector<Execution> Execs;
+  for (int I = 0; I < 40; ++I)
+    Execs.push_back(M.run(CompoundApplication(
+        Application(KernelKind::MklDgemm, 4000 + 500 * (I % 7)),
+        Application(KernelKind::MklFft, 9000))));
+  RaplSensor Single, Batched;
+  std::vector<double> Ref;
+  for (const Execution &E : Execs)
+    Ref.push_back(Single.measureTotalEnergyJ(M, E));
+  std::vector<double> Got(Execs.size());
+  Batched.measureTotalEnergiesJ(M, Execs, Got);
+  EXPECT_EQ(Got, Ref);
+  // Both sensors continue from the same stream position.
+  EXPECT_EQ(Batched.measureTotalEnergyJ(M, Execs[0]),
+            Single.measureTotalEnergyJ(M, Execs[0]));
+}

@@ -153,6 +153,17 @@ TEST(Rng, HashTagDistinguishesStrings) {
   EXPECT_NE(hashTag(""), hashTag("a"));
 }
 
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  for (uint64_t N : {0ull, 1ull, 1000ull}) {
+    Rng Skipped(37), Stepped(37);
+    Skipped.discard(N);
+    for (uint64_t I = 0; I < N; ++I)
+      (void)Stepped.next();
+    for (int I = 0; I < 8; ++I)
+      EXPECT_EQ(Skipped.next(), Stepped.next()) << "after discard(" << N << ")";
+  }
+}
+
 // Property sweep: stream quality across many seeds — no short cycles and
 // balanced bits in a small window.
 class RngSeedSweep : public ::testing::TestWithParam<uint64_t> {};
