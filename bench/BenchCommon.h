@@ -19,7 +19,6 @@
 #include "core/Report.h"
 #include "ml/DecisionTree.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RlsLinearRegression.h"
 #include "pmc/PlatformEvents.h"
 #include "sim/Machine.h"
@@ -71,9 +70,10 @@ inline unsigned &requestedThreads() {
 }
 
 /// One process-wide kernel switch a driver flag selects. The owning
-/// module reads its SLOPE_* variable at startup (so test and
-/// google-benchmark binaries honour it too) and spells its values once,
-/// in the Choice array beside its enum; the flag takes the same values.
+/// module spells its values once, in the Choice array beside its enum,
+/// and the flag takes the same values; a shared switch's module also
+/// reads its SLOPE_* variable at startup (so test and google-benchmark
+/// binaries honour it too).
 struct KernelSwitch {
   /// Driver flag; its --bench-json key is the name with '-' as '_'.
   const char *Flag;
@@ -99,9 +99,10 @@ KernelSwitch kernelSwitch(const char *Flag) {
           }};
 }
 
-/// Every live kernel switch, in --bench-json order. An explicit list,
-/// not self-registration: the modules are static archives, and an
-/// unreferenced registration object would be dropped at link time.
+/// Every kernel switch all drivers share, in --bench-json order. An
+/// explicit list, not self-registration: the modules are static
+/// archives, and an unreferenced registration object would be dropped
+/// at link time.
 inline const std::vector<KernelSwitch> &kernelSwitches() {
   using namespace slope;
   static const std::vector<KernelSwitch> Table = {
@@ -111,9 +112,6 @@ inline const std::vector<KernelSwitch> &kernelSwitches() {
                    ml::defaultNnAlgorithm>("--nn-algo"),
       kernelSwitch<sim::SynthAlgorithmNames, sim::setDefaultSynthAlgorithm,
                    sim::defaultSynthAlgorithm>("--synth-algo"),
-      kernelSwitch<ml::InferenceAlgorithmNames,
-                   ml::setDefaultInferenceAlgorithm,
-                   ml::defaultInferenceAlgorithm>("--infer-algo"),
       // Reports the *resolved* variant the column-parallel kernels ran
       // with on this host (auto resolves to "avx2" or "scalar"), so
       // archived JSON records what executed rather than what was asked.
@@ -123,18 +121,24 @@ inline const std::vector<KernelSwitch> &kernelSwitches() {
   return Table;
 }
 
+/// The kernel switches the running driver declared: the shared ones,
+/// then its own. parseArgs fills it; --bench-json reports it.
+inline std::vector<KernelSwitch> &declaredSwitches() {
+  static std::vector<KernelSwitch> Switches;
+  return Switches;
+}
+
 /// Parses a driver's command line: \p Flags carries the driver's own
-/// flags and positionals, to which this adds the shared ones, and any
-/// unknown flag or bad value exits 2 listing what is accepted. \returns
-/// the positional arguments.
+/// flags and positionals, and \p Own the kernel switches only this
+/// driver takes; this adds the shared ones, and any unknown flag or bad
+/// value exits 2 listing what is accepted. \returns the positional
+/// arguments.
 ///
 /// `--threads N` (or SLOPE_THREADS; 0 = pool default) sizes the global
 /// experiment thread pool; parallel results are bit-identical at any
 /// setting, so the knob trades wall clock only. The kernelSwitches()
 /// flags select kernels: `--tree-algo`, `--nn-algo` and `--synth-algo`
-/// are bit-neutral (perf gates compare the two sides); `--infer-algo
-/// fp|quantized` changes numerics within ml/QuantizedModel's documented
-/// error bound, so its CI gate checks speedup and tolerance together;
+/// are bit-neutral (perf gates compare the two sides);
 /// `--simd auto|avx2|scalar` picks the SIMD variant (auto enables only
 /// the bit-identical column-parallel AVX2 kernels, avx2 also the
 /// reassociating K-split ones, scalar forces the reference — see
@@ -142,14 +146,20 @@ inline const std::vector<KernelSwitch> &kernelSwitches() {
 /// writes a machine-readable timing summary to PATH without changing
 /// stdout. `--sweep-repeat N` repeats the model sweep in benches that
 /// support it; `--profile-repeat N` likewise repeats the profiling
-/// campaign (extra passes discarded).
-inline std::vector<std::string> parseArgs(int Argc, char **Argv,
-                                          slope::cli::FlagParser Flags = {}) {
+/// campaign (extra passes discarded). bench_serving_engine alone owns
+/// `--infer-algo fp|quantized`, which changes numerics within
+/// ml/QuantizedModel's documented error bound; a driver that serves no
+/// model rejects it like any unknown flag.
+inline std::vector<std::string>
+parseArgs(int Argc, char **Argv, slope::cli::FlagParser Flags = {},
+          std::vector<KernelSwitch> Own = {}) {
   if (const char *Env = std::getenv("SLOPE_BENCH_JSON"))
     benchJsonPath() = Env;
   Flags.number("--threads", requestedThreads(), 0u,
                slope::ThreadPool::MaxThreads);
-  for (const KernelSwitch &Switch : kernelSwitches())
+  declaredSwitches() = kernelSwitches();
+  declaredSwitches().insert(declaredSwitches().end(), Own.begin(), Own.end());
+  for (const KernelSwitch &Switch : declaredSwitches())
     Switch.Declare(Flags, Switch.Flag);
   Flags.text("--bench-json", benchJsonPath(), "PATH");
   Flags.number("--sweep-repeat", sweepRepeatFlag(), 1u);
@@ -208,7 +218,7 @@ inline void writeBenchJson(const char *BenchName) {
     TotalMs += Ms;
   std::fprintf(F, "{\n  \"bench\": \"%s\",\n  \"threads\": %u,\n", BenchName,
                requestedThreads());
-  for (const KernelSwitch &Switch : kernelSwitches()) {
+  for (const KernelSwitch &Switch : declaredSwitches()) {
     std::string Key = Switch.Flag + 2;
     std::replace(Key.begin(), Key.end(), '-', '_');
     std::fprintf(F, "  \"%s\": \"%s\",\n", Key.c_str(), Switch.Get());

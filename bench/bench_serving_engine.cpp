@@ -20,6 +20,7 @@
 #include "core/FleetTrace.h"
 #include "core/OnlineEstimator.h"
 #include "core/ServingEngine.h"
+#include "ml/QuantizedModel.h"
 #include "sim/TestSuite.h"
 
 #include <algorithm>
@@ -88,7 +89,25 @@ int main(int Argc, char **Argv) {
     RetrainSeen = true;
   });
   Flags.number("--drift", Drift);
-  bench::parseArgs(Argc, Argv, std::move(Flags));
+  bench::parseArgs(Argc, Argv, std::move(Flags),
+                   {bench::kernelSwitch<ml::InferenceAlgorithmNames,
+                                        ml::setDefaultInferenceAlgorithm,
+                                        ml::defaultInferenceAlgorithm>(
+                       "--infer-algo")});
+  // The integer kernel walks forests only, and an online model changes
+  // every fold while a quantization grid is frozen at build time: reject
+  // both combinations before the estimator trains.
+  if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized) {
+    if (Family != ModelFamily::RF)
+      cli::fail(std::string("--infer-algo=quantized: the ") +
+                cli::nameOf(FamilyNames, Family) +
+                " family has no quantized kernel; use --family rf");
+    if (Retrain != RetrainMode::Off)
+      cli::fail(std::string("--infer-algo=quantized: --retrain ") +
+                cli::nameOf(RetrainNames, Retrain) +
+                " serves a model that changes every fold; quantized "
+                "serving needs --retrain off");
+  }
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag

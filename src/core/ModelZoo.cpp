@@ -7,8 +7,6 @@
 #include "core/ModelZoo.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace slope;
 using namespace slope::core;
@@ -58,23 +56,9 @@ std::unique_ptr<Model> core::makePaperModel(ModelFamily Family,
 }
 
 std::unique_ptr<Model> core::fitPaperModel(ModelFamily Family, uint64_t Seed,
-                                           const Dataset &Training,
-                                           InferenceAlgorithm Algo) {
+                                           const Dataset &Training) {
   std::unique_ptr<Model> M = makePaperModel(Family, Seed);
   [[maybe_unused]] auto Fit = M->fit(Training);
   assert(Fit && "paper model failed to fit an experiment dataset");
-  if (Algo == InferenceAlgorithm::Quantized) {
-    // Never fall back silently: a quantized run that cannot quantize is a
-    // configuration error, not a licence to serve FP numbers under a
-    // quantized label (the perf gate would pass vacuously).
-    Expected<std::unique_ptr<QuantizedModel>> Q =
-        QuantizedModel::build(std::move(M), Training);
-    if (!Q) {
-      std::fprintf(stderr, "fatal: --infer-algo quantized: %s\n",
-                   Q.error().message().c_str());
-      std::abort();
-    }
-    return Q.takeValue();
-  }
   return M;
 }

@@ -18,7 +18,6 @@
 #include "ml/KnnRegressor.h"
 #include "ml/LinearRegression.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
 
 #include <memory>
@@ -41,14 +40,9 @@ const char *modelFamilyName(ModelFamily Family);
 std::unique_ptr<ml::Model> makePaperModel(ModelFamily Family, uint64_t Seed);
 
 /// Fits a fresh paper-configured model on \p Training; asserts success
-/// (experiment datasets are well formed by construction). With \p Algo ==
-/// Quantized (the default follows --infer-algo / SLOPE_INFER_ALGO), the
-/// fitted model is wrapped in its fixed-point twin, calibrated on
-/// \p Training — never silently: an unquantizable configuration asserts
-/// in debug and aborts in release via ml::QuantizedModel::build's error.
-std::unique_ptr<ml::Model>
-fitPaperModel(ModelFamily Family, uint64_t Seed, const ml::Dataset &Training,
-              ml::InferenceAlgorithm Algo = ml::defaultInferenceAlgorithm());
+/// (experiment datasets are well formed by construction).
+std::unique_ptr<ml::Model> fitPaperModel(ModelFamily Family, uint64_t Seed,
+                                         const ml::Dataset &Training);
 
 } // namespace core
 } // namespace slope

@@ -6,6 +6,7 @@
 
 #include "core/OnlineEstimator.h"
 
+#include "ml/QuantizedModel.h"
 #include "pmc/CounterScheduler.h"
 
 using namespace slope;
@@ -45,9 +46,9 @@ OnlineEstimator::train(Machine &M, power::HclWattsUp &Meter,
   std::unique_ptr<ml::Model> FittedModel = makePaperModel(Family, Seed);
   if (auto Fit = FittedModel->fit(*Training); !Fit)
     return Fit.error();
-  // Under --infer-algo quantized the estimator serves the fixed-point
-  // twin, calibrated on the training dataset. Propagate build failures
-  // (e.g. a non-identity NN) instead of silently serving FP.
+  // Under the Quantized inference algorithm the estimator serves the
+  // fixed-point twin, calibrated on the training dataset. Propagate build
+  // failures (every family but RF) instead of silently serving FP.
   if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized) {
     auto Q = ml::QuantizedModel::build(std::move(FittedModel), *Training);
     if (!Q)

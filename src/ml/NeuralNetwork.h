@@ -99,11 +99,6 @@ public:
   void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "NN"; }
 
-  /// The configured transfer function. QuantizedModel::build folds
-  /// identity-transfer networks (affine maps) to effective linear weights
-  /// and refuses anything else.
-  Activation transfer() const { return Options.Transfer; }
-
   /// Training MSE (standardized target units) after the final epoch.
   double finalTrainingLoss() const {
     assert(Fitted && "model not fitted");

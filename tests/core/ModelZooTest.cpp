@@ -39,12 +39,6 @@ ml::Dataset miniDataset(size_t Width, uint64_t Seed) {
   return Data;
 }
 
-/// Restores the process-wide default algorithm when a test returns.
-struct InferenceAlgorithmGuard {
-  ml::InferenceAlgorithm Saved = ml::defaultInferenceAlgorithm();
-  ~InferenceAlgorithmGuard() { ml::setDefaultInferenceAlgorithm(Saved); }
-};
-
 } // namespace
 
 TEST(ModelZoo, FamilyNames) {
@@ -54,44 +48,14 @@ TEST(ModelZoo, FamilyNames) {
   EXPECT_STREQ(modelFamilyName(ModelFamily::Knn), "kNN");
 }
 
-// Every family x algorithm combination must construct, train, and
-// predict — and the quantized variant must actually be the fixed-point
-// twin, never a silent fall-back to the floating-point model.
-TEST(ModelZoo, RoundTripEveryFamilyAndAlgorithm) {
+// Every family must construct, train, and predict.
+TEST(ModelZoo, RoundTripEveryFamily) {
   ml::Dataset Train = miniDataset(4, 0x200);
   for (ModelFamily Family : AllFamilies) {
-    for (ml::InferenceAlgorithm Algo :
-         {ml::InferenceAlgorithm::Fp, ml::InferenceAlgorithm::Quantized}) {
-      SCOPED_TRACE(std::string(modelFamilyName(Family)) + "/" +
-                   (Algo == ml::InferenceAlgorithm::Quantized ? "quantized"
-                                                              : "fp"));
-      std::unique_ptr<ml::Model> M = fitPaperModel(Family, 1, Train, Algo);
-      ASSERT_NE(M, nullptr);
-      auto *Quant = dynamic_cast<ml::QuantizedModel *>(M.get());
-      if (Algo == ml::InferenceAlgorithm::Quantized) {
-        ASSERT_NE(Quant, nullptr) << "silent FP fallback";
-        EXPECT_EQ(M->name(),
-                  std::string("Q") + Quant->reference().name());
-      } else {
-        EXPECT_EQ(Quant, nullptr);
-      }
-      const double P = M->predict(Train.row(0));
-      EXPECT_TRUE(std::isfinite(P));
-    }
+    SCOPED_TRACE(modelFamilyName(Family));
+    std::unique_ptr<ml::Model> M = fitPaperModel(Family, 1, Train);
+    ASSERT_NE(M, nullptr);
+    const double P = M->predict(Train.row(0));
+    EXPECT_TRUE(std::isfinite(P));
   }
-}
-
-// With no explicit algorithm argument, fitPaperModel follows the
-// process-wide default (the --infer-algo / SLOPE_INFER_ALGO knob).
-TEST(ModelZoo, DefaultAlgorithmFollowsGlobal) {
-  InferenceAlgorithmGuard Guard;
-  ml::Dataset Train = miniDataset(3, 0xD0);
-
-  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Quantized);
-  std::unique_ptr<ml::Model> Q = fitPaperModel(ModelFamily::LR, 1, Train);
-  EXPECT_NE(dynamic_cast<ml::QuantizedModel *>(Q.get()), nullptr);
-
-  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Fp);
-  std::unique_ptr<ml::Model> F = fitPaperModel(ModelFamily::LR, 1, Train);
-  EXPECT_EQ(dynamic_cast<ml::QuantizedModel *>(F.get()), nullptr);
 }

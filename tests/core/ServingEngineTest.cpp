@@ -9,6 +9,7 @@
 #include "core/OnlineEstimator.h"
 #include "ml/LinearRegression.h"
 #include "ml/QuantizedModel.h"
+#include "ml/RandomForest.h"
 #include "pmc/PlatformEvents.h"
 #include "support/ThreadPool.h"
 
@@ -114,6 +115,19 @@ std::unique_ptr<ml::Model> fittedLr(const ml::Dataset &Train) {
   return M;
 }
 
+/// Fits a fresh 30-tree forest on \p Train — the family the quantized
+/// path serves; seeded, so two calls produce identical models.
+std::unique_ptr<ml::Model> fittedForest(const ml::Dataset &Train) {
+  ml::RandomForestOptions Options;
+  Options.NumTrees = 30;
+  Options.Seed = 5;
+  auto M = std::make_unique<ml::RandomForest>(Options);
+  auto Fit = M->fit(Train);
+  assert(Fit);
+  (void)Fit;
+  return M;
+}
+
 } // namespace
 
 TEST(ServingEngine, HandCheckedMiniTrace) {
@@ -178,8 +192,8 @@ TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
   // untouched by any given epoch, so a fold that publishes only the
   // cells its epoch touched must still carry every earlier total.
   ml::Dataset Train = miniTrainingSet(3, 0x31);
-  std::unique_ptr<ml::Model> Fp = fittedLr(Train);
-  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  std::unique_ptr<ml::Model> Fp = fittedForest(Train);
+  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
   ASSERT_TRUE(bool(Quant));
   SumModel Sum;
   MiniTrace T = makeMiniTrace(5000, 37, 5, 3, 0xABCD);
@@ -423,8 +437,8 @@ TEST(ServingEngine, EpochLargerThanTraceFoldsOnce) {
 
 TEST(ServingEngine, QuantizedReplayMatchesFpWithinBound) {
   ml::Dataset Train = miniTrainingSet(3, 0x99);
-  std::unique_ptr<ml::Model> Fp = fittedLr(Train);
-  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  std::unique_ptr<ml::Model> Fp = fittedForest(Train);
+  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
   ASSERT_TRUE(bool(Quant));
 
   // Uneven epoch size on purpose: the partial-epoch fold must also be
@@ -461,7 +475,7 @@ TEST(ServingEngine, QuantizedReplayMatchesFpWithinBound) {
 TEST(ServingEngine, QuantizedReplayBitIdenticalAtAnyShardAndThreadCount) {
   ThreadCountGuard Guard;
   ml::Dataset Train = miniTrainingSet(3, 0x77);
-  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
   ASSERT_TRUE(bool(Quant));
   MiniTrace T = makeMiniTrace(4000, 29, 4, 3, 0x5EED);
 
@@ -786,20 +800,20 @@ ml::Dataset traceRows(const FleetTrace &Trace) {
   return Rows;
 }
 
-/// An FP LR fitted on \p Trace and its quantized twin, calibrated on the
-/// same rows.
-struct LrPair {
+/// An FP forest fitted on \p Trace and its quantized twin, calibrated on
+/// the same rows.
+struct ForestPair {
   std::unique_ptr<ml::Model> Fp;
   std::unique_ptr<ml::QuantizedModel> Quant;
   std::vector<const ml::Model *> both() const { return {Fp.get(), Quant.get()}; }
 };
 
-LrPair lrPairOnTrace(const FleetTrace &Trace) {
+ForestPair forestPairOnTrace(const FleetTrace &Trace) {
   const ml::Dataset Rows = traceRows(Trace);
-  LrPair P;
-  P.Fp = fittedLr(Rows);
-  auto Quant = ml::QuantizedModel::build(fittedLr(Rows), Rows);
-  assert(Quant && "quantizing a fitted LR cannot fail");
+  ForestPair P;
+  P.Fp = fittedForest(Rows);
+  auto Quant = ml::QuantizedModel::build(fittedForest(Rows), Rows);
+  assert(Quant && "quantizing a fitted forest cannot fail");
   P.Quant = Quant.takeValue();
   return P;
 }
@@ -848,7 +862,7 @@ TEST(ServingEngine, PerRowIngestAndReplayPublishIdenticalTables) {
   Machine M(Platform::intelSkylakeServer(), 41);
   auto Trace = makeDriftingTrace(M, 3000, /*DriftMax=*/0.2);
   ASSERT_TRUE(bool(Trace));
-  const LrPair Models = lrPairOnTrace(*Trace);
+  const ForestPair Models = forestPairOnTrace(*Trace);
 
   ServingConfig Config;
   Config.NumShards = 3;
@@ -891,7 +905,7 @@ TEST(ServingEngine, PerShardBatchesAreCeilOfShardRows) {
   Machine M(Platform::intelSkylakeServer(), 43);
   auto Trace = makeDriftingTrace(M, 4000, /*DriftMax=*/0.0);
   ASSERT_TRUE(bool(Trace));
-  const LrPair Models = lrPairOnTrace(*Trace);
+  const ForestPair Models = forestPairOnTrace(*Trace);
 
   ServingConfig Config;
   Config.NumShards = 4;

@@ -179,9 +179,9 @@ TEST(PredictBatch, IntoMatchesBatchForEveryFamilyAndSize) {
   Models.push_back(std::make_unique<RlsLinearRegression>());
   for (const auto &M : Models)
     ASSERT_TRUE(bool(M->fit(Train))) << M->name();
-  auto QuantizedLr = std::make_unique<LinearRegression>();
-  ASSERT_TRUE(bool(QuantizedLr->fit(Train)));
-  auto Quantized = QuantizedModel::build(std::move(QuantizedLr), Train);
+  auto QuantizedForest = std::make_unique<RandomForest>(Forest);
+  ASSERT_TRUE(bool(QuantizedForest->fit(Train)));
+  auto Quantized = QuantizedModel::build(std::move(QuantizedForest), Train);
   ASSERT_TRUE(bool(Quantized));
   Models.push_back(Quantized.takeValue());
 

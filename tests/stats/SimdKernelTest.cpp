@@ -167,18 +167,15 @@ TEST(SimdKernelTest, QuantizeScaleClampBitIdentical) {
   for (size_t N : Sizes) {
     std::vector<double> X = randomVector(N, 1200 + N);
     std::vector<double> Scale = randomVector(N, 1300 + N);
-    std::vector<double> Offset = randomVector(N, 1400 + N);
     // A couple of values far outside the clamp range.
     X[0] = 9e9;
     if (N > 1)
       X[N - 1] = -9e9;
     std::vector<int32_t> Ref(N), Got(N);
     setDefaultSimdMode(SimdMode::Scalar);
-    quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), N, 1 << 20,
-                       Ref.data());
+    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Ref.data());
     setDefaultSimdMode(SimdMode::Auto);
-    quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), N, 1 << 20,
-                       Got.data());
+    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Got.data());
     EXPECT_EQ(Ref, Got) << "N=" << N;
   }
 }
