@@ -71,9 +71,9 @@ inline unsigned &requestedThreads() {
 
 /// One process-wide kernel switch a driver flag selects. The owning
 /// module spells its values once, in the Choice array beside its enum,
-/// and the flag takes the same values; a shared switch's module also
-/// reads its SLOPE_* variable at startup (so test and google-benchmark
-/// binaries honour it too).
+/// and the flag takes the same values; the module also reads its SLOPE_*
+/// variable at startup (so test and google-benchmark binaries honour it
+/// too).
 struct KernelSwitch {
   /// Driver flag; its --bench-json key is the name with '-' as '_'.
   const char *Flag;
@@ -121,17 +121,9 @@ inline const std::vector<KernelSwitch> &kernelSwitches() {
   return Table;
 }
 
-/// The kernel switches the running driver declared: the shared ones,
-/// then its own. parseArgs fills it; --bench-json reports it.
-inline std::vector<KernelSwitch> &declaredSwitches() {
-  static std::vector<KernelSwitch> Switches;
-  return Switches;
-}
-
 /// Parses a driver's command line: \p Flags carries the driver's own
-/// flags and positionals, and \p Own the kernel switches only this
-/// driver takes; this adds the shared ones, and any unknown flag or bad
-/// value exits 2 listing what is accepted. \returns the positional
+/// flags and positionals; this adds the shared ones, and any unknown flag
+/// or bad value exits 2 listing what is accepted. \returns the positional
 /// arguments.
 ///
 /// `--threads N` (or SLOPE_THREADS; 0 = pool default) sizes the global
@@ -146,20 +138,14 @@ inline std::vector<KernelSwitch> &declaredSwitches() {
 /// writes a machine-readable timing summary to PATH without changing
 /// stdout. `--sweep-repeat N` repeats the model sweep in benches that
 /// support it; `--profile-repeat N` likewise repeats the profiling
-/// campaign (extra passes discarded). bench_serving_engine alone owns
-/// `--infer-algo fp|quantized`, which changes numerics within
-/// ml/QuantizedModel's documented error bound; a driver that serves no
-/// model rejects it like any unknown flag.
+/// campaign (extra passes discarded).
 inline std::vector<std::string>
-parseArgs(int Argc, char **Argv, slope::cli::FlagParser Flags = {},
-          std::vector<KernelSwitch> Own = {}) {
+parseArgs(int Argc, char **Argv, slope::cli::FlagParser Flags = {}) {
   if (const char *Env = std::getenv("SLOPE_BENCH_JSON"))
     benchJsonPath() = Env;
   Flags.number("--threads", requestedThreads(), 0u,
                slope::ThreadPool::MaxThreads);
-  declaredSwitches() = kernelSwitches();
-  declaredSwitches().insert(declaredSwitches().end(), Own.begin(), Own.end());
-  for (const KernelSwitch &Switch : declaredSwitches())
+  for (const KernelSwitch &Switch : kernelSwitches())
     Switch.Declare(Flags, Switch.Flag);
   Flags.text("--bench-json", benchJsonPath(), "PATH");
   Flags.number("--sweep-repeat", sweepRepeatFlag(), 1u);
@@ -218,7 +204,7 @@ inline void writeBenchJson(const char *BenchName) {
     TotalMs += Ms;
   std::fprintf(F, "{\n  \"bench\": \"%s\",\n  \"threads\": %u,\n", BenchName,
                requestedThreads());
-  for (const KernelSwitch &Switch : declaredSwitches()) {
+  for (const KernelSwitch &Switch : kernelSwitches()) {
     std::string Key = Switch.Flag + 2;
     std::replace(Key.begin(), Key.end(), '-', '_');
     std::fprintf(F, "  \"%s\": \"%s\",\n", Key.c_str(), Switch.Get());

@@ -14,7 +14,6 @@
 #include "core/AdditivityChecker.h"
 #include "core/DatasetBuilder.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
 #include "pmc/CounterScheduler.h"
 #include "pmc/PlatformEvents.h"
@@ -130,8 +129,9 @@ void BM_ForestFitClassA(benchmark::State &State) {
 }
 BENCHMARK(BM_ForestFitClassA)->Arg(0)->Arg(1);
 
-// Columnar batch inference vs the row-by-row virtual-dispatch loop it
-// replaced (both produce bit-identical predictions).
+// The forest's batched flat walk (tree-major over row blocks, eight rows
+// in flight; Arg 0) vs row-by-row predict on a gathered row (Arg 1). Both
+// produce bit-identical predictions; CI gates the ratio.
 void BM_ForestPredictBatch(benchmark::State &State) {
   ml::Dataset Train = randomDataset(277, 6, 13);
   ml::Dataset Test = randomDataset(512, 6, 14);
@@ -157,33 +157,6 @@ void BM_ForestPredictBatch(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ForestPredictBatch)->Arg(0)->Arg(1);
-
-// Quantized fixed-point batch inference vs the FP forest it was built
-// from (predictions agree within ml/QuantizedModel's documented 1e-4
-// relative-error bound on held-out rows): Arg(0) is the FP pointer-chasing
-// forest, Arg(1) the branchless flattened-arena walk, so the gate can
-// compare two entries of one report via check_speedup.py --key-b.
-void BM_QuantizedPredictBatch(benchmark::State &State) {
-  ml::Dataset Train = randomDataset(277, 6, 21);
-  ml::Dataset Test = randomDataset(4096, 6, 22);
-  ml::RandomForestOptions Options;
-  Options.NumTrees = 30;
-  std::unique_ptr<ml::Model> Under =
-      std::make_unique<ml::RandomForest>(Options);
-  auto Fit = Under->fit(Train);
-  assert(Fit);
-  (void)Fit;
-  if (State.range(0) == 1) {
-    auto Q = ml::QuantizedModel::build(std::move(Under), Train);
-    assert(Q);
-    Under = Q.takeValue();
-  }
-  for (auto _ : State) {
-    std::vector<double> Preds = Under->predictBatch(Test);
-    benchmark::DoNotOptimize(Preds);
-  }
-}
-BENCHMARK(BM_QuantizedPredictBatch)->Arg(0)->Arg(1);
 
 void BM_MatrixGram(benchmark::State &State) {
   stats::Matrix A = randomMatrix(State.range(0), 32, 15);

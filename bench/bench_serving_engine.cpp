@@ -20,7 +20,6 @@
 #include "core/FleetTrace.h"
 #include "core/OnlineEstimator.h"
 #include "core/ServingEngine.h"
-#include "ml/QuantizedModel.h"
 #include "sim/TestSuite.h"
 
 #include <algorithm>
@@ -89,25 +88,7 @@ int main(int Argc, char **Argv) {
     RetrainSeen = true;
   });
   Flags.number("--drift", Drift);
-  bench::parseArgs(Argc, Argv, std::move(Flags),
-                   {bench::kernelSwitch<ml::InferenceAlgorithmNames,
-                                        ml::setDefaultInferenceAlgorithm,
-                                        ml::defaultInferenceAlgorithm>(
-                       "--infer-algo")});
-  // The integer kernel walks forests only, and an online model changes
-  // every fold while a quantization grid is frozen at build time: reject
-  // both combinations before the estimator trains.
-  if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized) {
-    if (Family != ModelFamily::RF)
-      cli::fail(std::string("--infer-algo=quantized: the ") +
-                cli::nameOf(FamilyNames, Family) +
-                " family has no quantized kernel; use --family rf");
-    if (Retrain != RetrainMode::Off)
-      cli::fail(std::string("--infer-algo=quantized: --retrain ") +
-                cli::nameOf(RetrainNames, Retrain) +
-                " serves a model that changes every fold; quantized "
-                "serving needs --retrain off");
-  }
+  bench::parseArgs(Argc, Argv, std::move(Flags));
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag
@@ -243,9 +224,9 @@ int main(int Argc, char **Argv) {
        static_cast<double>(Engine.stats().CellsPublished)},
       {"staleness_error", Engine.stats().stalenessError()},
   };
-  // The attribution tables as numbers, so the quantized CI gate can check
-  // FP-vs-quantized accuracy (check_speedup.py --tolerance-json attr_)
-  // in the same call that checks the serve_ms speedup.
+  // The attribution tables as numbers, so the streaming RLS CI gate can
+  // check rls-vs-refit agreement (check_speedup.py --tolerance-json attr_)
+  // in the same call that checks the maintenance speedup.
   for (uint32_t A = 0; A < Trace->numApps(); ++A)
     bench::extraJsonNumbers().emplace_back(
         "attr_app_" + std::to_string(A) + "_energy_j", Engine.appEnergy(A));

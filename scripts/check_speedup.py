@@ -18,12 +18,11 @@ google-benchmark report.
 
 --tolerance-json PREFIX additionally gates *accuracy* in the same call:
 every top-level numeric field of both JSONs whose name starts with PREFIX
-(e.g. the serving bench's "app_energy_j_*" attribution table) must agree
-within --rel-tol relative error, measured as |b - a| / max(|a|, floor)
-with floor = 1e-9 x the largest |a| so near-zero entries cannot blow the
-ratio up — the same definition ml::maxRelativeError uses. The gate fails
-if the two files expose different PREFIX key sets or none at all (a
-missing table must not pass vacuously).
+(e.g. the serving bench's "attr_*" attribution table) must agree within
+--rel-tol relative error, measured as |b - a| / max(|a|, floor) with
+floor = 1e-9 x the largest |a| so near-zero entries cannot blow the ratio
+up. The gate fails if the two files expose different PREFIX key sets or
+none at all (a missing table must not pass vacuously).
 
 On failure prints a GitHub Actions ::error:: annotation and exits 1.
 """
@@ -101,8 +100,8 @@ def main():
                              "JSONs within --rel-tol relative error")
     parser.add_argument("--rel-tol", type=float, default=1e-4,
                         help="relative-error bound for --tolerance-json "
-                             "(default: 1e-4, ml/QuantizedModel's "
-                             "documented bound)")
+                             "(default: 1e-4, the bound the streaming RLS "
+                             "gate holds rls-vs-refit attributions to)")
     args = parser.parse_args()
 
     key_b = args.key_b if args.key_b is not None else args.key

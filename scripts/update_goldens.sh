@@ -20,6 +20,7 @@ DRIVERS=(
   bench_table6_correlation
   bench_table7a_class_b
   bench_table7b_class_c
+  bench_serving_engine
 )
 
 cmake --build "$BUILD_DIR" --target "${DRIVERS[@]}"

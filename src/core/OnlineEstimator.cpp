@@ -6,7 +6,6 @@
 
 #include "core/OnlineEstimator.h"
 
-#include "ml/QuantizedModel.h"
 #include "pmc/CounterScheduler.h"
 
 using namespace slope;
@@ -46,15 +45,6 @@ OnlineEstimator::train(Machine &M, power::HclWattsUp &Meter,
   std::unique_ptr<ml::Model> FittedModel = makePaperModel(Family, Seed);
   if (auto Fit = FittedModel->fit(*Training); !Fit)
     return Fit.error();
-  // Under the Quantized inference algorithm the estimator serves the
-  // fixed-point twin, calibrated on the training dataset. Propagate build
-  // failures (every family but RF) instead of silently serving FP.
-  if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized) {
-    auto Q = ml::QuantizedModel::build(std::move(FittedModel), *Training);
-    if (!Q)
-      return Q.error();
-    FittedModel = Q.takeValue();
-  }
   return OnlineEstimator(M, std::move(Events),
                          std::vector<std::string>(PmcNames),
                          std::move(FittedModel));

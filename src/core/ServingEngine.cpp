@@ -6,7 +6,6 @@
 
 #include "core/ServingEngine.h"
 
-#include "ml/QuantizedModel.h"
 #include "support/PhaseTimers.h"
 #include "support/ThreadPool.h"
 
@@ -22,15 +21,12 @@ using namespace slope::core;
 ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
                              uint32_t NumTenants, uint32_t NumApps,
                              ServingConfig Config)
-    : Model(&M), Quant(dynamic_cast<const ml::QuantizedModel *>(&M)),
-      Width(FeatureWidth), NumTenants(NumTenants), NumApps(NumApps),
+    : Model(&M), Width(FeatureWidth), NumTenants(NumTenants), NumApps(NumApps),
       EpochSize(std::max<size_t>(1, Config.EpochSize)),
       BatchSize(std::max<size_t>(1, Config.BatchSize)),
       ScoreLabels(Config.ScoreLabels) {
   assert(FeatureWidth > 0 && "serving needs at least one feature");
   assert(NumTenants > 0 && NumApps > 0 && "serving needs a fleet shape");
-  assert((!Quant || Quant->featureWidth() == Width) &&
-         "quantized model width does not match the engine");
   unsigned NumShards = Config.NumShards > 0
                            ? Config.NumShards
                            : ThreadPool::global().numThreads();
@@ -58,9 +54,6 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
 void ServingEngine::enableOnlineRetrain(ml::RlsLinearRegression &OnlineModel,
                                         ml::FitAlgorithm Algo,
                                         const ml::Dataset *SeedHistory) {
-  assert(!Quant && "online retrain is incompatible with a quantized model: "
-                   "a retrained model cannot keep a frozen quantization "
-                   "grid");
   assert(OnlineModel.featureWidth() == Width &&
          "online model width does not match the engine");
   assert(Stats.Observations == 0 && PendingCount == 0 &&
@@ -81,13 +74,9 @@ void ServingEngine::openBatch(Shard &S) {
   Batch &B = S.Staged.emplace_back();
   B.Cells.resize(BatchSize);
   B.Pred.resize(BatchSize);
-  if (Quant) {
-    B.RowsQ.resize(BatchSize * Width);
-  } else {
-    B.Rows.resize(BatchSize * Width);
-    B.Columns = ml::Dataset(FeatureNames);
-    B.Columns.reserveRows(BatchSize);
-  }
+  B.Rows.resize(BatchSize * Width);
+  B.Columns = ml::Dataset(FeatureNames);
+  B.Columns.reserveRows(BatchSize);
 }
 
 bool ServingEngine::stage(uint32_t Tenant, uint32_t App,
@@ -97,13 +86,9 @@ bool ServingEngine::stage(uint32_t Tenant, uint32_t App,
   const TenantSlot Slot = Slots[Tenant];
   Shard &S = Shards[Slot.Shard];
   Batch &B = S.Staged[S.Full];
-  if (Quant) {
-    Quant->quantizeRow(Features, B.RowsQ.data() + B.N * Width);
-  } else {
-    double *Row = B.Rows.data() + B.N * Width;
-    for (size_t F = 0; F < Width; ++F)
-      Row[F] = Features[F];
-  }
+  double *Row = B.Rows.data() + B.N * Width;
+  for (size_t F = 0; F < Width; ++F)
+    Row[F] = Features[F];
   B.Cells[B.N] = Slot.CellBase + App;
   if (logsLabels() && std::isfinite(Label)) {
     LogFeatures.insert(LogFeatures.end(), Features, Features + Width);
@@ -125,8 +110,6 @@ void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
 
 void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features, double Label) {
-  assert((!Quant || std::isnan(Label)) &&
-         "labeled ingestion requires the FP serving path");
   const bool Full = stage(Tenant, App, Features, Label);
   if (++PendingCount >= EpochSize)
     foldEpoch();
@@ -150,17 +133,13 @@ void ServingEngine::flushStaged(bool Partial) {
   parallelFor(0, Jobs.size(), 1, [this](size_t J) {
     Batch &B = *Jobs[J];
     const auto Start = std::chrono::steady_clock::now();
-    if (Quant) {
-      Quant->predictQuantizedMany(B.RowsQ.data(), B.N, B.Pred.data());
-    } else {
-      // Columnar assembly happens here, in parallel, rather than on the
-      // ingest thread: staging the columns at ingest instead measured
-      // 9-11% slower fleet ticks (see DESIGN.md).
-      B.Columns.clearRows();
-      for (size_t R = 0; R < B.N; ++R)
-        B.Columns.addRow(B.Rows.data() + R * Width, 0.0);
-      Model->predictBatchInto(B.Columns, B.Pred.data());
-    }
+    // Columnar assembly happens here, in parallel, rather than on the
+    // ingest thread: staging the columns at ingest instead measured 9-11%
+    // slower fleet ticks (see DESIGN.md).
+    B.Columns.clearRows();
+    for (size_t R = 0; R < B.N; ++R)
+      B.Columns.addRow(B.Rows.data() + R * Width, 0.0);
+    Model->predictBatchInto(B.Columns, B.Pred.data());
     B.Ms = std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - Start)
                .count();

@@ -21,14 +21,12 @@
 /// what the fleet holds. Until then queries see the previous fold's
 /// snapshot, including across bound-triggered mid-epoch flushes.
 ///
-/// One staging design serves both the FP and the quantized path. Ingest
-/// routes each observation into its owning shard's open BatchSize batch
-/// (the shard is a pure function of the tenant id; a quantized engine
-/// quantizes the row once here, into int32). At the fold, and whenever a
-/// shard has StagedBatchesPerShard full batches staged, every staged
-/// batch of every shard runs in one parallelFor over (shard, batch) jobs
-/// in a fixed order, each writing its predictions into the batch's own
-/// buffer. Skewed traffic therefore spreads over the whole pool instead
+/// Ingest routes each observation into its owning shard's open BatchSize
+/// batch (the shard is a pure function of the tenant id). At the fold,
+/// and whenever a shard has StagedBatchesPerShard full batches staged,
+/// every staged batch of every shard runs in one parallelFor over
+/// (shard, batch) jobs in a fixed order, each writing its predictions
+/// into the batch's own buffer. Skewed traffic therefore spreads over the whole pool instead
 /// of waiting on the hottest shard. After the single join each shard
 /// adds its predictions to its cells in trace order (a bound-triggered
 /// flush runs full batches only, so per-shard batch counts stay
@@ -42,10 +40,7 @@
 /// thread count, or batch size. Derived aggregates are summed from the
 /// folded cells in ascending (tenant, app) order, never across shards,
 /// so replaying the same trace is bit-identical at any shard/thread
-/// count. On the quantized path each job dequantizes its batch's integer
-/// predictions into the same span, so both paths share the accumulation;
-/// the quantized replay matches the FP reference within the model's
-/// documented error bound.
+/// count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +57,6 @@
 #include <vector>
 
 namespace slope {
-namespace ml {
-class QuantizedModel;
-} // namespace ml
 namespace core {
 
 /// Serving knobs. None of them changes any query result — they trade
@@ -138,8 +130,7 @@ public:
   /// re-runs the O(N*F^2) batch fit every fold (the reference). Either
   /// way the updates are applied serially in trace order at the fold, so
   /// replay stays bit-identical at any shard/thread/batch count. Must be
-  /// called before any ingestion; incompatible with a quantized model
-  /// (a retrained model cannot keep a frozen quantization grid).
+  /// called before any ingestion.
   ///
   /// \p SeedHistory (Refit mode only): the dataset \p Online was seeded
   /// from. The refit accumulates new epochs on top of it, so the
@@ -208,13 +199,12 @@ private:
   /// One bounded inference batch, staged at ingest in arrival order, with
   /// the caller-owned prediction span its flush job writes.
   struct Batch {
-    size_t N = 0;                 ///< Rows staged.
-    AlignedBuffer<double> Rows;   ///< FP path: staged rows, row-major.
-    AlignedBuffer<int32_t> RowsQ; ///< Quantized path: int32 rows.
-    std::vector<uint32_t> Cells;  ///< Accumulation slot per staged row.
-    ml::Dataset Columns;          ///< FP path: Rows, columnar, at flush.
-    std::vector<double> Pred;     ///< Predictions (BatchSize slots).
-    double Ms = 0;                ///< Latency of the last run.
+    size_t N = 0;                ///< Rows staged.
+    AlignedBuffer<double> Rows;  ///< Staged rows, row-major.
+    std::vector<uint32_t> Cells; ///< Accumulation slot per staged row.
+    ml::Dataset Columns;         ///< Rows, columnar, at flush.
+    std::vector<double> Pred;    ///< Predictions (BatchSize slots).
+    double Ms = 0;               ///< Latency of the last run.
   };
 
   /// Per-shard state. A flush job writes only its own batch's
@@ -239,7 +229,7 @@ private:
   /// Where a tenant's cells live: its shard (tenant % NumShards) and its
   /// first cell there ((tenant / NumShards) * NumApps). Precomputed, since
   /// a runtime-divisor div per observation would cost more than the rest
-  /// of the quantized per-row work.
+  /// of the per-row staging work.
   struct TenantSlot {
     uint32_t Shard;
     uint32_t CellBase;
@@ -248,9 +238,9 @@ private:
   /// Appends a fresh batch, sized for BatchSize rows, to \p S.
   void openBatch(Shard &S);
 
-  /// Whether ingest keeps the trace-order labeled log: only the FP path
-  /// scores or retrains on labels at the fold.
-  bool logsLabels() const { return !Quant && (Online || ScoreLabels); }
+  /// Whether ingest keeps the trace-order labeled log: the fold scores or
+  /// retrains on labels.
+  bool logsLabels() const { return Online || ScoreLabels; }
 
   /// Stages one observation in its shard's open batch (and, when labels
   /// are scored, in the trace-order log). \returns true when that shard
@@ -277,8 +267,6 @@ private:
   void retrainOnLog();
 
   const ml::Model *Model;
-  /// Non-null when serving a quantized model; enables the integer path.
-  const ml::QuantizedModel *Quant = nullptr;
   size_t Width;
   uint32_t NumTenants;
   uint32_t NumApps;
@@ -302,8 +290,8 @@ private:
   ml::Dataset History; ///< Refit mode only: every labeled row so far.
 
   /// Trace-order log of this epoch's labeled rows, kept only when the
-  /// fold scores or retrains on labels (FP path): flat row-major features
-  /// and their finite labels.
+  /// fold scores or retrains on labels: flat row-major features and their
+  /// finite labels.
   std::vector<double> LogFeatures;
   std::vector<double> LogLabels;
 };

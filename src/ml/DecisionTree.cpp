@@ -455,12 +455,7 @@ double DecisionTree::predict(const std::vector<double> &Features) const {
   return Nodes[Id].LeafValue;
 }
 
-// The forest's per-row walk, the inner loop of RF serving. It starts on a
-// cache line so the loop's placement relative to fetch boundaries is the
-// same in every link layout: unpinned, fleet serving time moved ~8-9%
-// with where unrelated code happened to push it.
-[[gnu::aligned(64)]] double
-DecisionTree::predictRow(const double *Features) const {
+double DecisionTree::predictRow(const double *Features) const {
   assert(Fitted && "predicting with an unfitted tree");
   const Node *N = &Nodes[0];
   while (!N->isLeaf())

@@ -123,8 +123,9 @@ public:
   std::string name() const override { return "Tree"; }
 
   /// Predicts from a raw feature pointer (no bounds information; the
-  /// caller guarantees the row matches the fitted width). Lets ensembles
-  /// batch over a reused row buffer without per-call vector churn.
+  /// caller guarantees the row matches the fitted width). The forest's
+  /// out-of-bag pass uses it, and it is the reference the flat forest
+  /// walk (ml/RandomForest.h) is tested against.
   double predictRow(const double *Features) const;
 
   /// \returns the number of nodes in the fitted tree.

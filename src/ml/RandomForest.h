@@ -12,6 +12,13 @@
 /// test applications (whose counters exceed the training range) produce
 /// the large maximum errors the paper reports.
 ///
+/// Each tree is grown as a DecisionTree and then kept only in flat form
+/// (FlatTree): 16-byte nodes whose walk is branchless and fixed-depth.
+/// The flat walk takes the same `x <= t` decisions on the same doubles as
+/// DecisionTree::predictRow, and every row sums its trees in ensemble
+/// order before dividing by the tree count, so predictions are
+/// bit-identical to averaging the pointer walks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLOPE_ML_RANDOMFOREST_H
@@ -19,10 +26,41 @@
 
 #include "ml/DecisionTree.h"
 
-#include <memory>
+#include <cstdint>
 
 namespace slope {
 namespace ml {
+
+/// One fitted tree in the forest's flat layout.
+struct FlatTree {
+  /// A step goes to Base + (x[Feat] <= Thresh): the right child sits at
+  /// Base and the left child at Base + 1. A leaf stores Thresh = NaN and
+  /// Base = its own index, so it loops on itself for any input (NaN
+  /// included), and every walk runs the tree's full Depth with no branch.
+  /// NaN features compare false and go right, as in the pointer walk.
+  struct Node {
+    double Thresh;
+    uint32_t Feat;
+    uint32_t Base;
+  };
+  std::vector<Node> Nodes;  ///< Breadth-first; the root is node 0.
+  std::vector<double> Leaf; ///< Leaf value per node (0 at splits).
+  unsigned Depth = 0;       ///< Steps from the root to the deepest leaf.
+};
+
+/// Flattens a fitted \p Tree. RandomForest::fit flattens every tree it
+/// grows with this; a one-tree walk then returns Tree.predictRow bit for
+/// bit.
+FlatTree flattenTree(const DecisionTree &Tree);
+
+/// \returns the mean of \p Trees' walks over one raw row, summed in
+/// ensemble order. Allocates nothing.
+double predictFlatRow(const std::vector<FlatTree> &Trees, const double *Row);
+
+/// Writes predictFlatRow of every row of \p Data to Out[r], walking tree
+/// by tree over blocks of rows with eight walks in flight.
+void predictFlatBatch(const std::vector<FlatTree> &Trees, const Dataset &Data,
+                      double *Out);
 
 /// Hyper-parameters of a random forest.
 struct RandomForestOptions {
@@ -41,18 +79,12 @@ public:
       : Options(Options) {}
 
   Expected<bool> fit(const Dataset &Training) override;
+  /// Both prediction paths assert that the input has the fitted width.
   double predict(const std::vector<double> &Features) const override;
   void predictBatchInto(const Dataset &Data, double *Out) const override;
   std::string name() const override { return "RF"; }
 
   size_t numTrees() const { return Trees.size(); }
-
-  /// The \p I-th fitted tree, in ensemble order. Valid after fit; used by
-  /// QuantizedModel::build to flatten the ensemble into one node arena.
-  const DecisionTree &tree(size_t I) const {
-    assert(Fitted && I < Trees.size() && "tree index out of range");
-    return *Trees[I];
-  }
 
   /// Out-of-bag mean-squared error estimated during fit; NaN if no row was
   /// ever out of bag (tiny datasets).
@@ -63,7 +95,8 @@ public:
 
 private:
   RandomForestOptions Options;
-  std::vector<std::unique_ptr<DecisionTree>> Trees;
+  std::vector<FlatTree> Trees;
+  size_t Width = 0; ///< Feature count of the training data.
   double OobMse = 0;
   bool Fitted = false;
 };

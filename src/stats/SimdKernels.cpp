@@ -8,12 +8,7 @@
 
 #include "support/CpuFeatures.h"
 
-#include <algorithm>
 #include <cmath>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
-#endif
 
 using namespace slope;
 using namespace slope::stats;
@@ -66,42 +61,6 @@ bool stats::simdColumnKernelsActive() {
 
 bool stats::simdKSplitKernelsActive() {
   return detail::KSplitKernelsAvx2Flag;
-}
-
-void stats::quantizeScaleClamp(const double *X, const double *Scale, size_t N,
-                               int64_t Clamp, int32_t *Out) {
-#ifdef SLOPE_SIMD_AVX2_COMPILED
-  if (detail::ColumnKernelsAvx2Flag)
-    return detail::quantizeScaleClampAvx2(X, Scale, N, Clamp, Out);
-#endif
-  const double ClampD = static_cast<double>(Clamp);
-  size_t I = 0;
-#if defined(__x86_64__) || defined(_M_X64)
-  // Two elements per step: scale and clamp in the double domain, then
-  // cvtpd2dq (round-to-nearest-even under the default MXCSR mode).
-  // Clamping before the conversion is equivalent to round-then-clamp for
-  // finite inputs: the clamp bound is a power of two (exactly
-  // representable), values inside the range are untouched, and values
-  // outside round to a magnitude >= the bound either way.
-  const __m128d Lo = _mm_set1_pd(-ClampD);
-  const __m128d Hi = _mm_set1_pd(ClampD);
-  for (; I + 2 <= N; I += 2) {
-    __m128d V = _mm_loadu_pd(X + I);
-    V = _mm_mul_pd(V, _mm_loadu_pd(Scale + I));
-    V = _mm_min_pd(_mm_max_pd(V, Lo), Hi);
-    _mm_storel_epi64(reinterpret_cast<__m128i *>(Out + I),
-                     _mm_cvtpd_epi32(V));
-  }
-  for (; I < N; ++I) {
-    const int64_t Q = _mm_cvtsd_si64(_mm_set_sd(X[I] * Scale[I]));
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
-  }
-#else
-  for (; I < N; ++I) {
-    const int64_t Q = std::llround(X[I] * Scale[I]);
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
-  }
-#endif
 }
 
 double stats::weightedIndexedSum(const double *Weight, const uint32_t *Index,

@@ -13,7 +13,7 @@
 /// The kernels split into two classes with different contracts:
 ///
 ///  * **Column-parallel** kernels (gemmAccumulate,
-///    gemmATransposedAccumulate, axpy, quantizeScaleClamp): the vector
+///    gemmATransposedAccumulate, axpy, adamStep): the vector
 ///    lanes hold *independent output elements*, so each element's own
 ///    chain of FP operations — and therefore its result — is bit-for-bit
 ///    the scalar kernel's. These may be (and by default are) enabled
@@ -28,8 +28,7 @@
 ///    the FP sum. Results differ from the scalar reference in the last
 ///    bits (property-tested relative error < 1e-12), so these run only
 ///    under the explicit SimdMode::Avx2 opt-in and are gated in CI by a
-///    microbench speedup + tolerance check, mirroring --infer-algo's
-///    accuracy-for-speed contract. K-split kernels may use FMA.
+///    microbench speedup + tolerance check. K-split kernels may use FMA.
 ///
 /// Dispatch resolves once per setSimdMode() call from (requested mode,
 /// compile-time -mavx2 support, runtime cpuid) — see CpuFeatures.h — so
@@ -93,14 +92,6 @@ bool simdKSplitKernelsActive();
 // stats/Matrix.h; their implementations dispatch through this TU.)
 //===----------------------------------------------------------------------===//
 
-/// Out[i] = round(X[i] * Scale[i]) clamped to +/-Clamp, with
-/// round-to-nearest-even (cvtpd2dq semantics; the scalar fallback uses
-/// the identical single-value conversion). Column-parallel: the AVX2
-/// variant is eight-wide but element-wise, so results are bit-identical
-/// to the scalar reference. ml::QuantizedModel::quantizeRow routes here.
-void quantizeScaleClamp(const double *X, const double *Scale, size_t N,
-                        int64_t Clamp, int32_t *Out);
-
 /// \returns sum_i Weight[i] * Values[Index[i]] — the gathered weighted
 /// sum the counter-synthesis term table walks (sim::Machine). K-split:
 /// the AVX2 variant gathers 4 terms per step into 4 lane accumulators,
@@ -153,8 +144,6 @@ void gemmBTransposedAccumulateAvx2(const double *A, const double *B,
                                    double *C, size_t M, size_t K, size_t N);
 double dotAvx2(const double *A, const double *B, size_t N);
 void axpyAvx2(double Alpha, const double *X, double *Y, size_t N);
-void quantizeScaleClampAvx2(const double *X, const double *Scale, size_t N,
-                            int64_t Clamp, int32_t *Out);
 double weightedIndexedSumAvx2(const double *Weight, const uint32_t *Index,
                               size_t N, const double *Values);
 double sumAvx2(const double *X, size_t N);

@@ -265,40 +265,6 @@ void detail::axpyAvx2(double Alpha, const double *X, double *Y, size_t N) {
     Y[I] += Alpha * X[I];
 }
 
-void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
-                                    size_t N, int64_t Clamp, int32_t *Out) {
-  // Eight features per step (two 256-bit halves), element-wise with the
-  // same operation order, clamp operand order, and cvtpd2dq rounding as
-  // the two-wide SSE2 fallback — bit-identical output.
-  const double ClampD = static_cast<double>(Clamp);
-  const __m256d Lo = _mm256_set1_pd(-ClampD);
-  const __m256d Hi = _mm256_set1_pd(ClampD);
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256d V0 = _mm256_loadu_pd(X + I);
-    __m256d V1 = _mm256_loadu_pd(X + I + 4);
-    V0 = _mm256_mul_pd(V0, _mm256_loadu_pd(Scale + I));
-    V1 = _mm256_mul_pd(V1, _mm256_loadu_pd(Scale + I + 4));
-    V0 = _mm256_min_pd(_mm256_max_pd(V0, Lo), Hi);
-    V1 = _mm256_min_pd(_mm256_max_pd(V1, Lo), Hi);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
-                     _mm256_cvtpd_epi32(V0));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I + 4),
-                     _mm256_cvtpd_epi32(V1));
-  }
-  for (; I + 4 <= N; I += 4) {
-    __m256d V = _mm256_loadu_pd(X + I);
-    V = _mm256_mul_pd(V, _mm256_loadu_pd(Scale + I));
-    V = _mm256_min_pd(_mm256_max_pd(V, Lo), Hi);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
-                     _mm256_cvtpd_epi32(V));
-  }
-  for (; I < N; ++I) {
-    const int64_t Q = _mm_cvtsd_si64(_mm_set_sd(X[I] * Scale[I]));
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
-  }
-}
-
 double detail::sumAvx2(const double *X, size_t N) {
   // 4-lane K-split plain sum; remainder terms append to the reduced sum
   // in ascending order. Reassociates — opt-in only.

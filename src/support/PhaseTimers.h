@@ -44,9 +44,8 @@ enum class Phase : unsigned {
                  ///< reflects wall clock and credits the per-shard
                  ///< fan-out.
   ServeIngest,   ///< ServingEngine replay staging slices (routing rows
-                 ///< into their shard's batches, quantizing them on the
-                 ///< integer path). Disjoint from ServeFold; both are
-                 ///< sub-slices of Serve.
+                 ///< into their shard's batches). Disjoint from
+                 ///< ServeFold; both are sub-slices of Serve.
   ServeFold,     ///< ServingEngine batch flushes and epoch folds
                  ///< (parallel inference, accumulation, publish, online
                  ///< retrain). Includes RlsUpdate/Refit when retraining

@@ -8,7 +8,6 @@
 
 #include "core/OnlineEstimator.h"
 #include "ml/LinearRegression.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
 #include "pmc/PlatformEvents.h"
 #include "support/ThreadPool.h"
@@ -86,7 +85,7 @@ ServingEngine replayed(const ml::Model &M, const MiniTrace &T,
 }
 
 /// A small training set over the same feature distribution the mini
-/// traces draw from (so quantization calibration covers the trace).
+/// traces draw from.
 ml::Dataset miniTrainingSet(size_t Width, uint64_t Seed) {
   Rng R(Seed);
   std::vector<std::string> Names;
@@ -115,8 +114,8 @@ std::unique_ptr<ml::Model> fittedLr(const ml::Dataset &Train) {
   return M;
 }
 
-/// Fits a fresh 30-tree forest on \p Train — the family the quantized
-/// path serves; seeded, so two calls produce identical models.
+/// Fits a fresh 30-tree forest on \p Train; seeded, so two calls produce
+/// identical models.
 std::unique_ptr<ml::Model> fittedForest(const ml::Dataset &Train) {
   ml::RandomForestOptions Options;
   Options.NumTrees = 30;
@@ -187,14 +186,12 @@ TEST(ServingEngine, AutoFoldsWhenEpochSizeReached) {
 TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
   // After EVERY fold, the query-visible table must equal one trace-order
   // pass accumulating per (tenant, app) exactly like an unsharded,
-  // unbatched server — on the FP and the quantized path, at several
+  // unbatched server — for a real forest and a sum model, at several
   // shard counts. Short epochs over a skewed fleet leave many cells
   // untouched by any given epoch, so a fold that publishes only the
   // cells its epoch touched must still carry every earlier total.
   ml::Dataset Train = miniTrainingSet(3, 0x31);
-  std::unique_ptr<ml::Model> Fp = fittedForest(Train);
-  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
-  ASSERT_TRUE(bool(Quant));
+  std::unique_ptr<ml::Model> Forest = fittedForest(Train);
   SumModel Sum;
   MiniTrace T = makeMiniTrace(5000, 37, 5, 3, 0xABCD);
   const size_t NumCells = T.NumTenants * T.NumApps;
@@ -202,20 +199,13 @@ TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
   // One row's prediction, made the way a batch job makes it.
   auto PredictRow = [&](const ml::Model &M, const double *X) {
     double Out = 0;
-    if (&M == Quant->get()) {
-      std::vector<int32_t> Q(T.Width);
-      (*Quant)->quantizeRow(X, Q.data());
-      (*Quant)->predictQuantizedMany(Q.data(), 1, &Out);
-    } else {
-      ml::Dataset Row(Train.featureNames());
-      Row.addRow(X, 0.0);
-      M.predictBatchInto(Row, &Out);
-    }
+    ml::Dataset Row(Train.featureNames());
+    Row.addRow(X, 0.0);
+    M.predictBatchInto(Row, &Out);
     return Out;
   };
 
-  const std::vector<const ml::Model *> Models = {&Sum, Fp.get(),
-                                                 Quant->get()};
+  const std::vector<const ml::Model *> Models = {&Sum, Forest.get()};
   for (const ml::Model *M : Models) {
     for (unsigned Shards : {1u, 3u, 8u}) {
       SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards");
@@ -435,62 +425,24 @@ TEST(ServingEngine, EpochLargerThanTraceFoldsOnce) {
   EXPECT_GT(Engine.fleetEnergy(), 0.0);
 }
 
-TEST(ServingEngine, QuantizedReplayMatchesFpWithinBound) {
-  ml::Dataset Train = miniTrainingSet(3, 0x99);
-  std::unique_ptr<ml::Model> Fp = fittedForest(Train);
-  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
-  ASSERT_TRUE(bool(Quant));
-
-  // Uneven epoch size on purpose: the partial-epoch fold must also be
-  // exercised by the integer fast path.
-  MiniTrace T = makeMiniTrace(3000, 23, 4, 3, 0xBEEF);
-  ServingConfig Config;
-  Config.NumShards = 2;
-  Config.EpochSize = 700;
-  Config.BatchSize = 64;
-  ServingEngine FpEngine = replayed(*Fp, T, Config);
-  ServingEngine QEngine = replayed(**Quant, T, Config);
-
-  EXPECT_EQ(QEngine.stats().Epochs, 5u); // ceil(3000 / 700).
-  EXPECT_EQ(QEngine.stats().Observations, T.size());
-  EXPECT_EQ(QEngine.stats().Batches, FpEngine.stats().Batches);
-
-  std::vector<double> FpEnergy, QEnergy;
-  for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
-    FpEnergy.push_back(FpEngine.tenantEnergy(Tenant));
-    QEnergy.push_back(QEngine.tenantEnergy(Tenant));
-    ASSERT_EQ(QEngine.tenantObservations(Tenant),
-              FpEngine.tenantObservations(Tenant));
-  }
-  for (uint32_t App = 0; App < T.NumApps; ++App) {
-    FpEnergy.push_back(FpEngine.appEnergy(App));
-    QEnergy.push_back(QEngine.appEnergy(App));
-    ASSERT_EQ(QEngine.appObservations(App), FpEngine.appObservations(App));
-  }
-  FpEnergy.push_back(FpEngine.fleetEnergy());
-  QEnergy.push_back(QEngine.fleetEnergy());
-  EXPECT_LT(ml::maxRelativeError(FpEnergy, QEnergy), 1e-4);
-}
-
-TEST(ServingEngine, QuantizedReplayBitIdenticalAtAnyShardAndThreadCount) {
+TEST(ServingEngine, ForestReplayBitIdenticalAtAnyShardAndThreadCount) {
   ThreadCountGuard Guard;
   ml::Dataset Train = miniTrainingSet(3, 0x77);
-  auto Quant = ml::QuantizedModel::build(fittedForest(Train), Train);
-  ASSERT_TRUE(bool(Quant));
+  std::unique_ptr<ml::Model> Forest = fittedForest(Train);
   MiniTrace T = makeMiniTrace(4000, 29, 4, 3, 0x5EED);
 
   ThreadPool::setGlobalThreadCount(1);
   ServingConfig Baseline;
   Baseline.NumShards = 1;
   Baseline.EpochSize = 600;
-  ServingEngine Reference = replayed(**Quant, T, Baseline);
+  ServingEngine Reference = replayed(*Forest, T, Baseline);
 
   for (unsigned Shards : {2u, 8u, 64u}) {
     for (unsigned Threads : {1u, 2u, 8u}) {
       ThreadPool::setGlobalThreadCount(Threads);
       ServingConfig Config = Baseline;
       Config.NumShards = Shards;
-      ServingEngine Engine = replayed(**Quant, T, Config);
+      ServingEngine Engine = replayed(*Forest, T, Config);
       for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
         ASSERT_EQ(Engine.tenantEnergy(Tenant),
                   Reference.tenantEnergy(Tenant))
@@ -800,22 +752,9 @@ ml::Dataset traceRows(const FleetTrace &Trace) {
   return Rows;
 }
 
-/// An FP forest fitted on \p Trace and its quantized twin, calibrated on
-/// the same rows.
-struct ForestPair {
-  std::unique_ptr<ml::Model> Fp;
-  std::unique_ptr<ml::QuantizedModel> Quant;
-  std::vector<const ml::Model *> both() const { return {Fp.get(), Quant.get()}; }
-};
-
-ForestPair forestPairOnTrace(const FleetTrace &Trace) {
-  const ml::Dataset Rows = traceRows(Trace);
-  ForestPair P;
-  P.Fp = fittedForest(Rows);
-  auto Quant = ml::QuantizedModel::build(fittedForest(Rows), Rows);
-  assert(Quant && "quantizing a fitted forest cannot fail");
-  P.Quant = Quant.takeValue();
-  return P;
+/// A forest fitted on the rows of \p Trace.
+std::unique_ptr<ml::Model> forestOnTrace(const FleetTrace &Trace) {
+  return fittedForest(traceRows(Trace));
 }
 
 /// Everything an engine publishes, for exact comparisons.
@@ -858,40 +797,30 @@ void expectSamePublished(const Published &A, const Published &B) {
 TEST(ServingEngine, PerRowIngestAndReplayPublishIdenticalTables) {
   // replay() must stage, flush and fold exactly where a per-row ingest()
   // loop would. Small batches cross the per-shard staging bound many
-  // times inside each epoch, on both the FP and the quantized path.
+  // times inside each epoch, with and without label scoring.
   Machine M(Platform::intelSkylakeServer(), 41);
   auto Trace = makeDriftingTrace(M, 3000, /*DriftMax=*/0.2);
   ASSERT_TRUE(bool(Trace));
-  const ForestPair Models = forestPairOnTrace(*Trace);
+  const std::unique_ptr<ml::Model> Forest = forestOnTrace(*Trace);
 
   ServingConfig Config;
   Config.NumShards = 3;
   Config.EpochSize = 1100;
   Config.BatchSize = 4;
-  for (const ml::Model *Model : Models.both()) {
-    const bool IsFp = Model == Models.Fp.get();
-    for (bool Score : {false, true}) {
-      if (Score && !IsFp)
-        continue; // Label scoring is an FP-path feature.
-      Config.ScoreLabels = Score;
-      ServingEngine Replayed(*Model, Trace->width(), 41, Trace->numApps(),
-                             Config);
-      Replayed.replay(*Trace);
-      ServingEngine Ingested(*Model, Trace->width(), 41, Trace->numApps(),
-                             Config);
-      for (size_t I = 0; I < Trace->size(); ++I) {
-        if (IsFp)
-          Ingested.ingest(Trace->tenant(I), Trace->app(I),
-                          Trace->features(I), Trace->label(I));
-        else
-          Ingested.ingest(Trace->tenant(I), Trace->app(I),
-                          Trace->features(I));
-      }
-      Ingested.endEpoch();
-      SCOPED_TRACE(Model->name() + (Score ? " scored" : ""));
-      EXPECT_EQ(Replayed.stats().Epochs, 3u); // ceil(3000 / 1100).
-      expectSamePublished(published(Replayed), published(Ingested));
-    }
+  for (bool Score : {false, true}) {
+    Config.ScoreLabels = Score;
+    ServingEngine Replayed(*Forest, Trace->width(), 41, Trace->numApps(),
+                           Config);
+    Replayed.replay(*Trace);
+    ServingEngine Ingested(*Forest, Trace->width(), 41, Trace->numApps(),
+                           Config);
+    for (size_t I = 0; I < Trace->size(); ++I)
+      Ingested.ingest(Trace->tenant(I), Trace->app(I), Trace->features(I),
+                      Trace->label(I));
+    Ingested.endEpoch();
+    SCOPED_TRACE(Score ? "scored" : "unscored");
+    EXPECT_EQ(Replayed.stats().Epochs, 3u); // ceil(3000 / 1100).
+    expectSamePublished(published(Replayed), published(Ingested));
   }
 }
 
@@ -899,13 +828,13 @@ TEST(ServingEngine, PerShardBatchesAreCeilOfShardRows) {
   // Zipf-skewed traffic: the hot shard stages several times the rows of
   // the cold ones and crosses the staging bound mid-epoch, which must run
   // full batches only — so every shard issues exactly
-  // ceil(rows / BatchSize) batches per epoch, on both paths.
+  // ceil(rows / BatchSize) batches per epoch.
   ThreadCountGuard Guard;
   ThreadPool::setGlobalThreadCount(4);
   Machine M(Platform::intelSkylakeServer(), 43);
   auto Trace = makeDriftingTrace(M, 4000, /*DriftMax=*/0.0);
   ASSERT_TRUE(bool(Trace));
-  const ForestPair Models = forestPairOnTrace(*Trace);
+  const std::unique_ptr<ml::Model> Forest = forestOnTrace(*Trace);
 
   ServingConfig Config;
   Config.NumShards = 4;
@@ -916,22 +845,19 @@ TEST(ServingEngine, PerShardBatchesAreCeilOfShardRows) {
     ++ShardRows[Trace->tenant(I) % Config.NumShards];
   ASSERT_GT(ShardRows[0], 2 * ShardRows[3]); // The skew is real.
 
-  for (const ml::Model *Model : Models.both()) {
-    ServingEngine Engine(*Model, Trace->width(), 41, Trace->numApps(),
-                         Config);
-    Engine.replay(*Trace);
-    const ServingStats &S = Engine.stats();
-    ASSERT_EQ(S.ShardBatches.size(), Config.NumShards);
-    uint64_t Total = 0;
-    for (size_t SI = 0; SI < Config.NumShards; ++SI) {
-      const uint64_t Want =
-          (ShardRows[SI] + Config.BatchSize - 1) / Config.BatchSize;
-      EXPECT_EQ(S.ShardBatches[SI], Want) << Model->name() << " shard " << SI;
-      Total += Want;
-    }
-    EXPECT_EQ(S.Batches, Total) << Model->name();
-    EXPECT_EQ(S.BatchLatency.count(), Total) << Model->name();
+  ServingEngine Engine(*Forest, Trace->width(), 41, Trace->numApps(), Config);
+  Engine.replay(*Trace);
+  const ServingStats &S = Engine.stats();
+  ASSERT_EQ(S.ShardBatches.size(), Config.NumShards);
+  uint64_t Total = 0;
+  for (size_t SI = 0; SI < Config.NumShards; ++SI) {
+    const uint64_t Want =
+        (ShardRows[SI] + Config.BatchSize - 1) / Config.BatchSize;
+    EXPECT_EQ(S.ShardBatches[SI], Want) << "shard " << SI;
+    Total += Want;
   }
+  EXPECT_EQ(S.Batches, Total);
+  EXPECT_EQ(S.BatchLatency.count(), Total);
 }
 
 TEST(ServingEngine, ScoredLabeledReplayBitIdenticalAtAnyShardAndThreadCount) {

@@ -4,8 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Golden-table regression harness: re-runs every paper-table bench driver
-// and byte-compares its stdout against the snapshot under tests/golden/.
+// Golden-table regression harness: re-runs every paper-table bench driver,
+// and the fleet serving driver (whose default replay walks the RF
+// estimator over one million observations), and byte-compares its stdout
+// against the snapshot under tests/golden/.
 // Each driver runs at 1 and 4 threads, so the harness simultaneously
 // enforces the house invariant that table output is bit-identical at any
 // thread count. A failure prints a line-level diff; refresh snapshots
@@ -23,12 +25,14 @@
 
 namespace {
 
-/// The eight paper-table drivers with golden snapshots.
+/// The drivers with golden snapshots: the eight paper tables, then the
+/// serving engine.
 const char *const GoldenDrivers[] = {
     "bench_table1_platforms", "bench_table2_additivity",
     "bench_table3_lr",        "bench_table4_rf",
     "bench_table5_nn",        "bench_table6_correlation",
     "bench_table7a_class_b",  "bench_table7b_class_c",
+    "bench_serving_engine",
 };
 
 /// Runs \p Command and captures its stdout (stderr is left alone so test

@@ -63,21 +63,8 @@ const BadInvocation BadInvocations[] = {
      "error: unknown flag '--observatons'"},
     {"", "bench_serving_engine", "--fit-algo rls",
      "error: unknown flag '--fit-algo'"},
-    // Only the serving driver serves a model, so only it takes
-    // --infer-algo, and only for the family with an integer kernel and a
-    // frozen model.
-    {"", "bench_table3_lr", "--infer-algo quantized",
+    {"", "bench_serving_engine", "--infer-algo quantized",
      "error: unknown flag '--infer-algo'"},
-    {"", "bench_serving_engine", "--family lr --infer-algo quantized",
-     "error: --infer-algo=quantized: the lr family has no quantized kernel"},
-    {"", "bench_serving_engine", "--infer-algo quantized --family nn",
-     "error: --infer-algo=quantized: the nn family has no quantized kernel"},
-    {"", "bench_serving_engine", "--family knn --infer-algo=quantized",
-     "error: --infer-algo=quantized: the knn family has no quantized kernel"},
-    {"", "bench_serving_engine", "--retrain rls --infer-algo quantized",
-     "error: --infer-algo=quantized: --retrain rls serves a model"},
-    {"", "bench_serving_engine", "--infer-algo quantized --retrain refit",
-     "error: --infer-algo=quantized: --retrain refit serves a model"},
 };
 
 } // namespace
@@ -104,8 +91,7 @@ TEST(StrictCli, UnknownFlagMessageListsAcceptedFlags) {
   EXPECT_EQ(ExitCode, 2);
   for (const char *Accepted :
        {"--observations N", "--retrain rls|refit|off",
-        "--tree-algo naive|presorted", "--simd auto|avx2|scalar",
-        "--infer-algo fp|quantized"})
+        "--tree-algo naive|presorted", "--simd auto|avx2|scalar"})
     EXPECT_NE(Stderr.find(Accepted), std::string::npos) << Accepted;
 }
 

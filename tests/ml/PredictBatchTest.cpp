@@ -14,7 +14,6 @@
 #include "ml/KnnRegressor.h"
 #include "ml/LinearRegression.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
 #include "ml/RlsLinearRegression.h"
 #include "support/Rng.h"
@@ -179,13 +178,10 @@ TEST(PredictBatch, IntoMatchesBatchForEveryFamilyAndSize) {
   Models.push_back(std::make_unique<RlsLinearRegression>());
   for (const auto &M : Models)
     ASSERT_TRUE(bool(M->fit(Train))) << M->name();
-  auto QuantizedForest = std::make_unique<RandomForest>(Forest);
-  ASSERT_TRUE(bool(QuantizedForest->fit(Train)));
-  auto Quantized = QuantizedModel::build(std::move(QuantizedForest), Train);
-  ASSERT_TRUE(bool(Quantized));
-  Models.push_back(Quantized.takeValue());
 
-  for (size_t N : {0u, 1u, 7u, 257u}) {
+  // 8, 9, 256, 257 and 513 straddle the forest walk's eight-row groups
+  // and 256-row blocks.
+  for (size_t N : {0u, 1u, 7u, 8u, 9u, 256u, 257u, 513u}) {
     const Dataset Test = syntheticData(22 + N, N, 4);
     for (const auto &M : Models)
       expectIntoMatchesBatch(*M, Test);

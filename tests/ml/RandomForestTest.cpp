@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 using namespace slope;
 using namespace slope::ml;
@@ -145,3 +147,108 @@ TEST_P(ForestHull, PredictionsWithinTargetRange) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForestHull, ::testing::Range<uint64_t>(0, 8));
+
+TEST(RandomForest, PredictAssertsFittedWidth) {
+  Rng R(7);
+  Dataset Wide({"a", "b", "c", "d", "e"});
+  for (int I = 0; I < 40; ++I)
+    Wide.addRow({R.uniform(0, 1), R.uniform(0, 1), R.uniform(0, 1),
+                 R.uniform(0, 1), R.uniform(0, 1)},
+                R.uniform(0, 1));
+  RandomForestOptions Options;
+  Options.NumTrees = 3;
+  RandomForest M(Options);
+  ASSERT_TRUE(bool(M.fit(Wide)));
+  Dataset Narrow({"a", "b", "c"});
+  Narrow.addRow({0.5, 0.5, 0.5}, 0);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe"; // Pool threads.
+  EXPECT_DEATH((void)M.predictBatch(Narrow), "width");
+  EXPECT_DEATH((void)M.predict({0.5, 0.5, 0.5}), "width");
+}
+
+namespace {
+
+/// Bitwise equality, so NaN and signed zeros compare exactly.
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+} // namespace
+
+// Property: the flat walk is bit-identical to DecisionTree::predictRow,
+// and a multi-tree walk to the pointer walks summed in ensemble order,
+// on rows that sit on every split threshold, one ulp either side of it,
+// or at NaN and +/-inf, for every batch size around the walk's
+// eight-row groups and 256-row blocks.
+TEST(FlatTree, WalkIsBitIdenticalToPointerWalk) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (size_t Width : {1u, 4u, 9u}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    Rng R(100 + Width);
+    std::vector<std::string> Names;
+    for (size_t F = 0; F < Width; ++F)
+      Names.push_back("f" + std::to_string(F));
+    Dataset Train(Names);
+    for (int I = 0; I < 300; ++I) {
+      std::vector<double> X(Width);
+      double Y = 0;
+      for (size_t F = 0; F < Width; ++F) {
+        // Rounded values force tied features and repeated thresholds.
+        X[F] = std::round(R.uniform(-20, 20) * 4) / 4;
+        Y += static_cast<double>(F + 1) * std::sin(X[F]);
+      }
+      Train.addRow(X, Y);
+    }
+
+    std::vector<DecisionTree> Trees;
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      DecisionTreeOptions Options;
+      Options.MaxFeatures = (Width + 1) / 2;
+      Trees.emplace_back(Options, Rng(Seed));
+      ASSERT_TRUE(bool(Trees.back().fit(Train)));
+    }
+    std::vector<FlatTree> Flat;
+    for (const DecisionTree &T : Trees)
+      Flat.push_back(flattenTree(T));
+
+    // Per feature: every threshold, its neighbours, and the non-finite
+    // values.
+    std::vector<std::vector<double>> Pool(Width, {NaN, Inf, -Inf});
+    for (const DecisionTree &T : Trees)
+      for (size_t I = 0; I < T.numNodes(); ++I) {
+        const DecisionTree::NodeView N = T.node(I);
+        if (N.Feature == SIZE_MAX)
+          continue;
+        Pool[N.Feature].push_back(N.Threshold);
+        Pool[N.Feature].push_back(std::nextafter(N.Threshold, Inf));
+        Pool[N.Feature].push_back(std::nextafter(N.Threshold, -Inf));
+      }
+
+    for (size_t Rows : {0u, 1u, 7u, 8u, 9u, 255u, 256u, 257u, 513u}) {
+      Dataset Test(Names);
+      for (size_t I = 0; I < Rows; ++I) {
+        std::vector<double> X(Width);
+        for (size_t F = 0; F < Width; ++F)
+          X[F] = Pool[F][R.below(Pool[F].size())];
+        Test.addRow(X, 0);
+      }
+      std::vector<double> One(Rows), All(Rows);
+      predictFlatBatch({Flat[0]}, Test, One.data());
+      predictFlatBatch(Flat, Test, All.data());
+      std::vector<double> Row;
+      for (size_t I = 0; I < Rows; ++I) {
+        Test.gatherRow(I, Row);
+        double Sum = 0;
+        for (const DecisionTree &T : Trees)
+          Sum += T.predictRow(Row.data());
+        const double Want = Sum / static_cast<double>(Trees.size());
+        ASSERT_TRUE(sameBits(One[I], Trees[0].predictRow(Row.data())))
+            << Rows << " rows, row " << I;
+        ASSERT_TRUE(sameBits(All[I], Want)) << Rows << " rows, row " << I;
+        ASSERT_TRUE(sameBits(predictFlatRow(Flat, Row.data()), Want))
+            << Rows << " rows, row " << I;
+      }
+    }
+  }
+}

@@ -7,7 +7,7 @@
 // Property tests for the stats/SimdKernels dispatch contract:
 //
 //  * column-parallel kernels (gemmAccumulate, gemmATransposedAccumulate,
-//    axpy, quantizeScaleClamp, adamStep, the gram tile) are bit-identical
+//    axpy, adamStep, the gram tile) are bit-identical
 //    to the scalar reference under every mode;
 //  * K-split kernels (dot, gemmBTransposedAccumulate, sum,
 //    weightedIndexedSum) stay within 1e-12 relative error of the scalar
@@ -57,8 +57,8 @@ std::vector<double> randomVector(size_t N, uint64_t Seed) {
   return V;
 }
 
-double maxRelativeError(const std::vector<double> &A,
-                        const std::vector<double> &B) {
+double worstRelativeError(const std::vector<double> &A,
+                          const std::vector<double> &B) {
   EXPECT_EQ(A.size(), B.size());
   double Max = 0;
   for (size_t I = 0; I < A.size(); ++I) {
@@ -162,24 +162,6 @@ TEST(SimdKernelTest, GramBitIdentical) {
   EXPECT_EQ(Ref.maxAbsDiff(Got), 0.0);
 }
 
-TEST(SimdKernelTest, QuantizeScaleClampBitIdentical) {
-  ModeGuard Guard;
-  for (size_t N : Sizes) {
-    std::vector<double> X = randomVector(N, 1200 + N);
-    std::vector<double> Scale = randomVector(N, 1300 + N);
-    // A couple of values far outside the clamp range.
-    X[0] = 9e9;
-    if (N > 1)
-      X[N - 1] = -9e9;
-    std::vector<int32_t> Ref(N), Got(N);
-    setDefaultSimdMode(SimdMode::Scalar);
-    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Ref.data());
-    setDefaultSimdMode(SimdMode::Auto);
-    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Got.data());
-    EXPECT_EQ(Ref, Got) << "N=" << N;
-  }
-}
-
 TEST(SimdKernelTest, AdamStepBitIdentical) {
   ModeGuard Guard;
   for (size_t N : Sizes) {
@@ -215,7 +197,7 @@ TEST(SimdKernelTest, DotWithinTolerance) {
     double Ref = dot(A.data() + 1, B.data() + 1, N); // misaligned
     setDefaultSimdMode(SimdMode::Avx2);
     double Got = dot(A.data() + 1, B.data() + 1, N);
-    EXPECT_LT(maxRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
+    EXPECT_LT(worstRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
   }
 }
 
@@ -231,7 +213,7 @@ TEST(SimdKernelTest, GemmBTransposedAccumulateWithinTolerance) {
     gemmBTransposedAccumulate(A.data(), B.data(), Ref.data(), M, K, N);
     setDefaultSimdMode(SimdMode::Avx2);
     gemmBTransposedAccumulate(A.data(), B.data(), Got.data(), M, K, N);
-    EXPECT_LT(maxRelativeError(Ref, Got), 1e-12) << "N=" << N;
+    EXPECT_LT(worstRelativeError(Ref, Got), 1e-12) << "N=" << N;
   }
 }
 
@@ -243,7 +225,7 @@ TEST(SimdKernelTest, SumWithinTolerance) {
     double Ref = sum(X.data(), N);
     setDefaultSimdMode(SimdMode::Avx2);
     double Got = sum(X.data(), N);
-    EXPECT_LT(maxRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
+    EXPECT_LT(worstRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
   }
 }
 
@@ -261,7 +243,7 @@ TEST(SimdKernelTest, WeightedIndexedSumWithinTolerance) {
     double Ref = weightedIndexedSum(W.data(), Idx.data(), N, Table.data());
     setDefaultSimdMode(SimdMode::Avx2);
     double Got = weightedIndexedSum(W.data(), Idx.data(), N, Table.data());
-    EXPECT_LT(maxRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
+    EXPECT_LT(worstRelativeError({Ref}, {Got}), 1e-12) << "N=" << N;
   }
 }
 
